@@ -24,7 +24,7 @@ from .econ import (
     pt_expected,
 )
 from .feasibility import cross_utility_tensor, own_utilities
-from .nn import AdamState, Mlp, adam_step, flatten_param_grads
+from .nn import AdamState, Mlp, adam_step
 
 __all__ = [
     "NoiseSchedule",
@@ -35,7 +35,6 @@ __all__ = [
     "ReplayBuffer",
     "encode_state",
     "forward_diffuse",
-    "denoise_step",
     "generate",
     "reward_fn",
     "critic_update",
@@ -172,35 +171,11 @@ def _denoise_coeffs(schedule: NoiseSchedule, k: int) -> tuple[float, float, floa
     return 1.0 / np.sqrt(lam), iota / np.sqrt(lam * (1.0 - lh)), np.sqrt(iota)
 
 
-def denoise_step(
-    x_k: np.ndarray,
-    s: np.ndarray,
-    k: int,
-    actor: Mlp,
-    schedule: NoiseSchedule,
-    noise: np.ndarray | None,
-) -> np.ndarray:
-    """One reverse step; pass ``noise=None`` for the deterministic final step."""
-    if k < 1 or k > schedule.k:
-        raise ValueError(f"step k={k} out of range 1..{schedule.k}")
-    inv_sqrt_lam, eps_coeff, noise_coeff = _denoise_coeffs(schedule, k)
-    eps = actor.forward(_actor_input(x_k, s, k, schedule.k))
-    out = inv_sqrt_lam * np.asarray(x_k, dtype=float) - eps_coeff * eps
-    if noise is not None:
-        out = out + noise_coeff * np.asarray(noise)
-    return out
-
-
 def _actor_input(x: np.ndarray, s: np.ndarray, k: int, k_total: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
+    """Batched denoiser input rows [x_k, state, one-hot(k)]."""
     onehot = np.zeros(k_total)
     onehot[k - 1] = 1.0
-    if x.ndim == 2:
-        batch = x.shape[0]
-        s2 = s if s.ndim == 2 else np.broadcast_to(s, (batch, s.size))
-        return np.concatenate([x, s2, np.broadcast_to(onehot, (batch, k_total))], axis=1)
-    return np.concatenate([x, s, onehot])
+    return np.concatenate([x, s, np.broadcast_to(onehot, (x.shape[0], k_total))], axis=1)
 
 
 @dataclass
@@ -289,6 +264,19 @@ def generate(sc: Scenario, agent: GdmAgent, rng: np.random.Generator) -> Contrac
     return map_action(u, agent.bounds, agent.m, agent.n)
 
 
+def _ic_slack(menu: ContractMenu, grid: TypeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Own-item utilities (M, N) and the IC slack matrix (MN, MN).
+
+    Entry [(m, n), (p, q)] is V^{own}_{m,n} - V^{p,q}_{m,n}; the diagonal
+    (m, n) == (p, q) is exactly 0.0, so summing the whole matrix gives the
+    off-diagonal sum in the element order of the full tensor.
+    """
+    v = cross_utility_tensor(menu, grid)
+    own = np.einsum("mnmn->mn", v)
+    mn = grid.m * grid.n
+    return own, own.reshape(mn, 1) - v.reshape(mn, mn)
+
+
 def reward_fn(
     menu: ContractMenu,
     grid: TypeGrid,
@@ -307,14 +295,8 @@ def reward_fn(
     penalized; the literal sum is the default.
     """
     u_pt = pt_expected(menu, grid, ch, hmd, sens, pt)
-    v = cross_utility_tensor(menu, grid)
-    own = np.einsum("mnmn->mn", v)
-    slack = own[:, :, None, None] - v
-    mask = np.ones_like(slack, dtype=bool)
-    for m in range(grid.m):
-        for n in range(grid.n):
-            mask[m, n, m, n] = False
-    slack = slack[mask]
+    own, slack = _ic_slack(menu, grid)
+    slack = slack[~np.eye(slack.shape[0], dtype=bool)]
     if violations_only:
         slack = np.minimum(slack, 0.0)
     return float(u_pt + own.sum() + penalty_weight * slack.sum())
@@ -323,12 +305,8 @@ def reward_fn(
 def reward_components(menu, grid, ch, hmd, sens, pt) -> tuple[float, float, float]:
     """(u_pt, ic_slack_sum, ir_slack_min) diagnostics for the training log."""
     u_pt = pt_expected(menu, grid, ch, hmd, sens, pt)
-    v = cross_utility_tensor(menu, grid)
-    own = np.einsum("mnmn->mn", v)
-    slack = own[:, :, None, None] - v
-    total = float(slack.sum() - 0.0)
-    # remove the (m,n)==(p,q) zero terms contribute nothing; keep as-is
-    return u_pt, total, float(own.min())
+    own, slack = _ic_slack(menu, grid)
+    return u_pt, float(slack.sum()), float(own.min())
 
 
 @dataclass
@@ -395,8 +373,8 @@ def critic_update(agent: GdmAgent, batch, rng: np.random.Generator) -> tuple[flo
         err = q[:, 0] - target
         losses.append(float(np.mean(err**2)))
         upstream = (2.0 * err / batch_size)[:, None]
-        param_grads, _ = critic.grads(tape, upstream)
-        adam_step(opt, critic.parameters(), flatten_param_grads(param_grads), agent.hp.critic_lr)
+        grad, _ = critic.grads(tape, upstream)
+        adam_step(opt, critic.params, grad, agent.hp.critic_lr)
     return losses[0], losses[1]
 
 
@@ -406,46 +384,41 @@ def actor_gradient(agent: GdmAgent, s_batch: np.ndarray, rng: np.random.Generato
     The gradient flows backward through the squash and every step of the
     reparameterized denoise chain; with ``varpi > 0`` an extra term
     discourages saturated actions (a crude stand-in for the intractable
-    policy entropy).  Returns ``(loss, grads)`` with ``grads`` aligned with
-    ``agent.actor.parameters()`` and pointing in the descent direction of
-    the loss.
+    policy entropy).  Returns ``(loss, grad)`` with ``grad`` aligned with
+    ``agent.actor.params`` and pointing in the descent direction of the
+    loss.
     """
     s = s_batch
     batch_size = s.shape[0]
     u, x0, tapes = agent._denoise_chain(s, rng, agent.actor, record=True)
 
     sa = np.concatenate([s, u], axis=1)
-    q, q_tape = agent.critic1.apply(sa)
+    q, tape = agent.critic1.apply(sa)
     loss = -float(np.mean(q[:, 0]))
 
     upstream = np.full((batch_size, 1), 1.0 / batch_size)
-    _, sa_grad = agent.critic1.grads(q_tape, upstream)
+    _, sa_grad = agent.critic1.grads(tape, upstream)
     du = sa_grad[:, s.shape[1] :]
     if agent.hp.varpi > 0:
         du = du - agent.hp.varpi * 2.0 * u / batch_size
     g = du * np.maximum(1.0 - u**2, agent.hp.tanh_grad_floor)  # through tanh
 
     ad = action_dim(agent.m, agent.n)
-    total = None
+    total = np.zeros_like(agent.actor.params)
     # tapes were recorded k = K..1; backprop consumes them in reverse (k = 1..K)
     for k, tape, inv_sqrt_lam, eps_coeff in reversed(tapes):
-        param_grads, in_grad = agent.actor.grads(tape, -eps_coeff * g)
-        flat = flatten_param_grads(param_grads)
-        if total is None:
-            total = flat
-        else:
-            for acc, piece in zip(total, flat):
-                acc += piece
+        grad, in_grad = agent.actor.grads(tape, -eps_coeff * g)
+        total += grad
         g = g * inv_sqrt_lam + in_grad[:, :ad]
 
     # total accumulates the ascent direction of Q; negate for the loss
-    return loss, [-gr for gr in total]
+    return loss, -total
 
 
 def actor_update(agent: GdmAgent, batch, rng: np.random.Generator) -> float:
     """One Q-guided policy-gradient step on the actor (see actor_gradient)."""
-    loss, grads = actor_gradient(agent, batch[0], rng)
-    adam_step(agent.actor_opt, agent.actor.parameters(), grads, agent.hp.actor_lr)
+    loss, grad = actor_gradient(agent, batch[0], rng)
+    adam_step(agent.actor_opt, agent.actor.params, grad, agent.hp.actor_lr)
     return loss
 
 
@@ -457,9 +430,8 @@ def soft_update(agent: GdmAgent, tau: float | None = None) -> None:
         (agent.critic1, agent.target_critic1),
         (agent.critic2, agent.target_critic2),
     ):
-        for p_t, p_o in zip(target.parameters(), online.parameters()):
-            p_t *= 1.0 - t
-            p_t += t * p_o
+        target.params *= 1.0 - t
+        target.params += t * online.params
 
 
 class ContractEnv:
@@ -541,11 +513,8 @@ def train(
             a_loss = actor_update(agent, batch, rng)
             soft_update(agent)
             for net in (agent.actor, agent.critic1, agent.critic2):
-                for p in net.parameters():
-                    if not np.all(np.isfinite(p)):
-                        raise FloatingPointError(
-                            f"non-finite parameters at episode {ep} step {t}"
-                        )
+                if not np.all(np.isfinite(net.params)):
+                    raise FloatingPointError(f"non-finite parameters at episode {ep} step {t}")
 
             u_pt, ic_sum, ir_min = reward_components(
                 menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt

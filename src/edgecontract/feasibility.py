@@ -280,19 +280,12 @@ def recurrence_utilities(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
     raise InfeasibleMenuError("positive cycle in IC difference constraints")
 
 
-def optimal_rewards(b_grid, f_grid, grid: TypeGrid, *, legacy_sign: bool = False) -> np.ndarray:
-    """Minimal feasible rewards R* = V* + b^2/theta + f^2/sigma.
-
-    ``legacy_sign`` flips the compute-cost term to a minus for comparison
-    purposes; the plus sign is the algebraically consistent default.
-    """
+def optimal_rewards(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
+    """Minimal feasible rewards R* = V* + b^2/theta + f^2/sigma."""
     b_grid = np.asarray(b_grid, dtype=float)
     f_grid = np.asarray(f_grid, dtype=float)
     v = recurrence_utilities(b_grid, f_grid, grid)
-    comp = f_grid**2 / grid.sigma[None, :]
-    if legacy_sign:
-        comp = -comp
-    return v + b_grid**2 / grid.theta[:, None] + comp
+    return v + b_grid**2 / grid.theta[:, None] + f_grid**2 / grid.sigma[None, :]
 
 
 def minimal_reward_oracle(b_grid, f_grid, grid: TypeGrid, max_iters: int | None = None) -> np.ndarray:

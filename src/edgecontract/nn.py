@@ -1,9 +1,10 @@
 """Minimal fixed-architecture MLP with analytic gradients and Adam.
 
-Supports batched inputs (leading axis), explicit gradient tapes so several
-forward passes can coexist before their backward passes (needed when
-backpropagating through a multi-step denoising chain), and flat parameter
-views for the optimizer and soft target updates.
+Supports batched inputs (leading axis) and explicit gradient tapes, so
+several forward passes can coexist before their backward passes (needed when
+backpropagating through a multi-step denoising chain).  Each network keeps
+all its weights and biases in one flat parameter vector, so the optimizer,
+soft target updates and finiteness checks each act on a single vector.
 """
 
 from __future__ import annotations
@@ -45,7 +46,11 @@ class GradTape:
 
 
 class Mlp:
-    """Fully connected network with one activation tag per layer."""
+    """Fully connected network with one activation tag per layer.
+
+    ``params`` holds every weight and bias; ``weights[i]`` and ``biases[i]``
+    are views into it.
+    """
 
     def __init__(self, widths: list[int], activations: list[str], rng: np.random.Generator | None = None):
         if len(activations) != len(widths) - 1:
@@ -55,17 +60,25 @@ class Mlp:
                 raise ValueError(f"unknown activation {a!r}")
         self.widths = list(widths)
         self.activations = list(activations)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for d_in, d_out in zip(widths[:-1], widths[1:]):
-            if rng is None:
-                w = np.zeros((d_in, d_out))
-            else:
+        sizes = [(d_in + 1) * d_out for d_in, d_out in zip(widths[:-1], widths[1:])]
+        self.params = np.zeros(sum(sizes))
+        self.weights, self.biases = self._layer_views(self.params)
+        if rng is not None:
+            for w in self.weights:
                 # He-style fan-in scaling
-                w = rng.standard_normal((d_in, d_out)) * np.sqrt(2.0 / d_in)
-            self.weights.append(w)
-            self.biases.append(np.zeros(d_out))
-        self._tape: GradTape | None = None
+                w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+
+    def _layer_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views into a vector laid out like ``params``:
+        [W0 (row-major), b0, W1, b1, ...]."""
+        weights, biases = [], []
+        off = 0
+        for d_in, d_out in zip(self.widths[:-1], self.widths[1:]):
+            weights.append(flat[off : off + d_in * d_out].reshape(d_in, d_out))
+            off += d_in * d_out
+            biases.append(flat[off : off + d_out])
+            off += d_out
+        return weights, biases
 
     @property
     def in_dim(self) -> int:
@@ -91,48 +104,25 @@ class Mlp:
         tape = GradTape(inputs=inputs, preacts=preacts, batched=batched)
         return (h if batched else h[0]), tape
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass; records an internal tape for :meth:`backward`."""
-        y, self._tape = self.apply(x)
-        return y
+    def grads(self, tape: GradTape, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients of sum(output * upstream) w.r.t. ``params`` and the input.
 
-    def grads(
-        self, tape: GradTape, upstream: np.ndarray
-    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-        """Gradients of sum(output * upstream) w.r.t. parameters and input.
-
-        Returns ``([(dW, db), ...], dx)``; parameter gradients are summed over
-        the batch, ``dx`` keeps the batch axis of the forward input.
+        Returns ``(grad, dx)``: ``grad`` is aligned with ``params`` and summed
+        over the batch, ``dx`` keeps the batch axis of the forward input.
         """
         upstream = np.asarray(upstream, dtype=float)
         g = upstream if tape.batched else upstream[None, :]
-        param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.weights)
+        grad = np.empty_like(self.params)
+        dws, dbs = self._layer_views(grad)
         for i in reversed(range(len(self.weights))):
             g = g * _act_grad(self.activations[i], tape.preacts[i])
-            dw = tape.inputs[i].T @ g
-            db = g.sum(axis=0)
-            param_grads[i] = (dw, db)
+            np.matmul(tape.inputs[i].T, g, out=dws[i])
+            np.sum(g, axis=0, out=dbs[i])
             g = g @ self.weights[i].T
-        return param_grads, (g if tape.batched else g[0])
-
-    def backward(self, upstream: np.ndarray):
-        """Backward through the tape recorded by the last :meth:`forward`."""
-        if self._tape is None:
-            raise RuntimeError("forward must be called before backward")
-        return self.grads(self._tape, upstream)
-
-    # -- parameter plumbing ------------------------------------------------
-
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return grad, (g if tape.batched else g[0])
 
     def copy_from(self, other: "Mlp") -> None:
-        for dst, src in zip(self.parameters(), other.parameters()):
-            dst[...] = src
+        self.params[...] = other.params
 
     def clone(self) -> "Mlp":
         net = Mlp(self.widths, self.activations)
@@ -142,10 +132,10 @@ class Mlp:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one parameter list."""
+    """First/second moment accumulators for one parameter vector."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -153,31 +143,21 @@ class AdamState:
 
     @classmethod
     def for_net(cls, net: Mlp) -> "AdamState":
-        params = net.parameters()
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+        return cls(m=np.zeros_like(net.params), v=np.zeros_like(net.params))
 
 
-def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
     """In-place adaptive-moment update with bias correction."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1**state.t)
-        v_hat = v / (1 - b2**state.t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-def flatten_param_grads(param_grads: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    """Interleave (dW, db) pairs to match :meth:`Mlp.parameters` order."""
-    out = []
-    for dw, db in param_grads:
-        out.append(dw)
-        out.append(db)
-    return out
+    m, v = state.m, state.v
+    m *= b1
+    m += (1 - b1) * grads
+    v *= b2
+    v += (1 - b2) * grads * grads
+    m_hat = m / (1 - b1**state.t)
+    v_hat = v / (1 - b2**state.t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 def save_weights(path, net: Mlp) -> None:

@@ -25,6 +25,7 @@ from .econ import (
 from .feasibility import (
     InfeasibleMenuError,
     NonMonotoneError,
+    check_monotone,
     minimal_reward_oracle,
     optimal_rewards,
 )
@@ -185,12 +186,15 @@ def refine_local(
             return None
         if np.any(f_new < spec.f_range[0]) or np.any(f_new > spec.f_range[1]):
             return None
+        # minimal_reward_oracle does not check monotonicity itself
+        if check_monotone(ContractMenu(b=b_new, f=f_new, r=np.zeros_like(b_new))):
+            return None
         try:
             if (grid.m, grid.n) == (2, 2):
                 r = optimal_rewards(b_new, f_new, grid)
             else:
                 r = minimal_reward_oracle(b_new, f_new, grid)
-        except (NonMonotoneError, InfeasibleMenuError):
+        except InfeasibleMenuError:
             return None
         menu = ContractMenu(b=b_new.copy(), f=f_new.copy(), r=r)
         evals += 1

@@ -182,23 +182,18 @@ def test_criterion_05_gradient_checks():
         if any(a == "relu" and np.any(np.abs(z) < 1e-3) for a, z in zip(acts, tape.preacts)):
             continue  # finite differences are invalid at a relu kink
         checked += 1
-        net.forward(x)
-        analytic, _ = net.backward(upstream)
+        analytic, _ = net.grads(tape, upstream)
         h = 1e-5
-        for li, p in enumerate(net.parameters()):
-            a_grad = analytic[li // 2][li % 2]
-            it = np.nditer(p, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = p[idx]
-                p[idx] = orig + h
-                up = float(np.sum(net.forward(x) * upstream))
-                p[idx] = orig - h
-                dn = float(np.sum(net.forward(x) * upstream))
-                p[idx] = orig
-                num = (up - dn) / (2 * h)
-                worst_net = max(worst_net, abs(a_grad[idx] - num) / max(abs(num), 1e-3))
-                it.iternext()
+        p = net.params
+        for i in range(p.size):
+            orig = p[i]
+            p[i] = orig + h
+            up = float(np.sum(net.apply(x)[0] * upstream))
+            p[i] = orig - h
+            dn = float(np.sum(net.apply(x)[0] * upstream))
+            p[i] = orig
+            num = (up - dn) / (2 * h)
+            worst_net = max(worst_net, abs(analytic[i] - num) / max(abs(num), 1e-3))
 
     # part 2: actor gradient through the K=3 denoise chain on a toy agent
     hp = df.GdmHyperparams(hidden_width=4, hidden_layers=1, varpi=0.0, tanh_grad_floor=0.0)
@@ -210,22 +205,19 @@ def test_criterion_05_gradient_checks():
         q, _ = agent.critic1.apply(np.concatenate([s, u], axis=1))
         return -float(np.mean(q[:, 0]))
 
-    _, grads = df.actor_gradient(agent, s, np.random.default_rng(77))
+    _, grad = df.actor_gradient(agent, s, np.random.default_rng(77))
     worst_chain = 0.0
     h = 1e-5
-    for p, g in zip(agent.actor.parameters(), grads):
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            up = loss()
-            p[idx] = orig - h
-            dn = loss()
-            p[idx] = orig
-            num = (up - dn) / (2 * h)
-            worst_chain = max(worst_chain, abs(g[idx] - num) / max(abs(num), 1e-4))
-            it.iternext()
+    p = agent.actor.params
+    for i in range(p.size):
+        orig = p[i]
+        p[i] = orig + h
+        up = loss()
+        p[i] = orig - h
+        dn = loss()
+        p[i] = orig
+        num = (up - dn) / (2 * h)
+        worst_chain = max(worst_chain, abs(grad[i] - num) / max(abs(num), 1e-4))
 
     ok = worst_net < 1e-4 and worst_chain < 1e-3
     _report(5, ok, f"network gradients rel err {worst_net:.2e} (< 1e-4) over 100 nets; "

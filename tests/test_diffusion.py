@@ -83,26 +83,23 @@ def test_forward_diffuse_marginal_moments(rng):
     assert abs(draws.var() - (1.0 - lh)) < 5e-2 * (1.0 - lh) + 4 * (1.0 - lh) * np.sqrt(2.0 / draws.size)
 
 
-def test_denoise_step_zero_actor_rescales_input(rng):
-    # eps-prediction identically zero: x_{k-1} = x_k / sqrt(lam_k) (+ noise)
-    sched = df.NoiseSchedule.default(k=3)
-    sd = df.state_dim(2, 2)
-    ad = df.action_dim(2, 2)
+def test_denoise_chain_zero_actor_rescales_input(rng):
+    # eps-prediction identically zero: x_{k-1} = x_k / sqrt(lam_k) + sqrt(iota_k) z_k
+    # for k = K..2, and the final step k = 1 adds no noise
+    agent = _small_agent()
+    sched = agent.schedule
+    sd, ad = df.state_dim(2, 2), df.action_dim(2, 2)
     actor = Mlp([ad + sd + sched.k, ad], ["identity"])  # zero weights
-    x = rng.standard_normal(ad)
-    s = rng.standard_normal(sd)
-    out = df.denoise_step(x, s, 2, actor, sched, noise=None)
-    assert np.allclose(out, x / np.sqrt(sched.lam[1]))
-    noise = rng.standard_normal(ad)
-    out_n = df.denoise_step(x, s, 2, actor, sched, noise=noise)
-    assert np.allclose(out_n, x / np.sqrt(sched.lam[1]) + np.sqrt(sched.iota[1]) * noise)
+    s = rng.standard_normal((4, sd))
+    u, x0, _ = agent._denoise_chain(s, np.random.default_rng(3), actor, record=False)
 
-
-def test_denoise_step_range_checked(rng):
-    sched = df.NoiseSchedule.default(k=3)
-    actor = Mlp([df.action_dim(2, 2) + df.state_dim(2, 2) + 3, df.action_dim(2, 2)], ["identity"])
-    with pytest.raises(ValueError):
-        df.denoise_step(np.zeros(12), np.zeros(df.state_dim(2, 2)), 0, actor, sched, None)
+    draws = np.random.default_rng(3)
+    x = draws.standard_normal((4, ad))
+    for k in range(sched.k, 1, -1):
+        x = x / np.sqrt(sched.lam[k - 1]) + np.sqrt(sched.iota[k - 1]) * draws.standard_normal((4, ad))
+    x = x / np.sqrt(sched.lam[0])
+    assert np.allclose(x0, x)
+    assert np.allclose(u, np.tanh(x))
 
 
 # -- action mapping and state encoding --------------------------------------
@@ -262,20 +259,17 @@ def test_critic_update_gamma_zero_targets_are_rewards(rng):
 
 def test_actor_update_zero_critic_leaves_actor_unchanged(rng):
     agent = _small_agent(seed=3, varpi=0.0)
-    for p in agent.critic1.parameters():
-        p[...] = 0.0
-    before = [p.copy() for p in agent.actor.parameters()]
+    agent.critic1.params[...] = 0.0
+    before = agent.actor.params.copy()
     df.actor_update(agent, _random_batch(rng, agent), np.random.default_rng(0))
-    for p, b in zip(agent.actor.parameters(), before):
-        assert np.array_equal(p, b)
+    assert np.array_equal(agent.actor.params, before)
 
 
 def test_actor_update_zero_lr_leaves_actor_unchanged(rng):
     agent = _small_agent(seed=4, actor_lr=0.0)
-    before = [p.copy() for p in agent.actor.parameters()]
+    before = agent.actor.params.copy()
     df.actor_update(agent, _random_batch(rng, agent), np.random.default_rng(0))
-    for p, b in zip(agent.actor.parameters(), before):
-        assert np.array_equal(p, b)
+    assert np.array_equal(agent.actor.params, before)
 
 
 def test_actor_update_improves_q_on_frozen_batch(rng):
@@ -295,24 +289,19 @@ def test_actor_update_improves_q_on_frozen_batch(rng):
 
 def test_soft_update_endpoints_and_contraction():
     agent = _small_agent(seed=6)
-    online = [p.copy() for p in agent.actor.parameters()]
-    target0 = [p.copy() for p in agent.target_actor.parameters()]
+    online = agent.actor.params.copy()
     # perturb the target so the pairs differ
-    for p in agent.target_actor.parameters():
-        p += 1.0
-    gap0 = [p.copy() - o for p, o in zip(agent.target_actor.parameters(), online)]
+    agent.target_actor.params += 1.0
+    gap0 = agent.target_actor.params - online
 
     df.soft_update(agent, tau=0.0)
-    for p, o, g in zip(agent.target_actor.parameters(), online, gap0):
-        assert np.allclose(p, o + g)
+    assert np.allclose(agent.target_actor.params, online + gap0)
 
     df.soft_update(agent, tau=0.5)
-    for p, o, g in zip(agent.target_actor.parameters(), online, gap0):
-        assert np.allclose(p, o + 0.5 * g)
+    assert np.allclose(agent.target_actor.params, online + 0.5 * gap0)
 
     df.soft_update(agent, tau=1.0)
-    for p, o in zip(agent.target_actor.parameters(), online):
-        assert np.allclose(p, o)
+    assert np.allclose(agent.target_actor.params, online)
 
 
 # -- training loop and baselines --------------------------------------------

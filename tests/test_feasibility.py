@@ -202,14 +202,6 @@ def test_recurrence_zero_resources_gives_zero_rewards(rng):
     assert np.allclose(fz.optimal_rewards(z, z, grid), 0.0)
 
 
-def test_legacy_sign_flips_compute_cost_term(rng):
-    grid = make_grid(rng)
-    b, f, _ = implementable_bf(rng, grid)
-    plus = fz.optimal_rewards(b, f, grid)
-    minus = fz.optimal_rewards(b, f, grid, legacy_sign=True)
-    assert np.allclose(plus - minus, 2.0 * f**2 / grid.sigma[None, :], rtol=1e-9, atol=1e-12)
-
-
 def test_delta_lambda_positive(rng):
     grid = make_grid(rng, 3, 3)
     dl = fz.DeltaLambda.from_grid(grid)

@@ -1,4 +1,4 @@
-"""MLP forward/backward correctness, optimizer behavior, checkpoints."""
+"""MLP apply/grads correctness, parameter layout, optimizer behavior, checkpoints."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from edgecontract.nn import (
     AdamState,
     Mlp,
     adam_step,
-    flatten_param_grads,
     load_weights,
     save_weights,
 )
@@ -28,22 +27,16 @@ def _reference_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
 
 
 def _numeric_param_grads(net: Mlp, x: np.ndarray, upstream: np.ndarray, h: float = 1e-5):
-    grads = []
-    for p in net.parameters():
-        g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            up = float(np.sum(net.forward(x) * upstream))
-            p[idx] = orig - h
-            dn = float(np.sum(net.forward(x) * upstream))
-            p[idx] = orig
-            g[idx] = (up - dn) / (2 * h)
-            it.iternext()
-        grads.append(g)
-    return grads
+    grad = np.zeros_like(net.params)
+    for i in range(net.params.size):
+        orig = net.params[i]
+        net.params[i] = orig + h
+        up = float(np.sum(net.apply(x)[0] * upstream))
+        net.params[i] = orig - h
+        dn = float(np.sum(net.apply(x)[0] * upstream))
+        net.params[i] = orig
+        grad[i] = (up - dn) / (2 * h)
+    return grad
 
 
 def test_constructor_validation():
@@ -58,27 +51,27 @@ def test_forward_matches_reference_to_1e12():
     for _ in range(20):
         net = Mlp([4, 7, 5, 2], ["relu", "tanh", "identity"], rng)
         x = rng.standard_normal((6, 4))
-        assert np.allclose(net.forward(x), _reference_forward(net, x), rtol=0, atol=1e-12)
+        assert np.allclose(net.apply(x)[0], _reference_forward(net, x), rtol=0, atol=1e-12)
 
 
 def test_forward_deterministic():
     rng = np.random.default_rng(3)
     net = Mlp([3, 8, 2], ["relu", "identity"], rng)
     x = rng.standard_normal(3)
-    assert np.array_equal(net.forward(x), net.forward(x))
+    assert np.array_equal(net.apply(x)[0], net.apply(x)[0])
 
 
 def test_unbatched_and_batched_agree():
     rng = np.random.default_rng(4)
     net = Mlp([3, 6, 2], ["tanh", "identity"], rng)
     x = rng.standard_normal(3)
-    assert np.allclose(net.forward(x), net.forward(x[None, :])[0], atol=1e-15)
+    assert np.allclose(net.apply(x)[0], net.apply(x[None, :])[0][0], atol=1e-15)
 
 
 def test_input_width_checked():
     net = Mlp([3, 2], ["identity"])
     with pytest.raises(ValueError):
-        net.forward(np.zeros(4))
+        net.apply(np.zeros(4))
 
 
 def test_linear_layer_gradient_is_outer_product():
@@ -86,9 +79,10 @@ def test_linear_layer_gradient_is_outer_product():
     net = Mlp([3, 2], ["identity"], rng)
     x = rng.standard_normal(3)
     upstream = rng.standard_normal(2)
-    net.forward(x)
-    param_grads, dx = net.backward(upstream)
-    dw, db = param_grads[0]
+    _, tape = net.apply(x)
+    grad, dx = net.grads(tape, upstream)
+    # params layout: W0 row-major, then b0
+    dw, db = grad[:6].reshape(3, 2), grad[6:]
     assert np.allclose(dw, np.outer(x, upstream), atol=1e-12)
     assert np.allclose(db, upstream, atol=1e-12)
     assert np.allclose(dx, net.weights[0] @ upstream, atol=1e-12)
@@ -96,15 +90,9 @@ def test_linear_layer_gradient_is_outer_product():
 
 def test_zero_weight_net_has_zero_input_gradient():
     net = Mlp([3, 4, 2], ["relu", "identity"])  # zero init
-    net.forward(np.ones(3))
-    _, dx = net.backward(np.ones(2))
+    _, tape = net.apply(np.ones(3))
+    _, dx = net.grads(tape, np.ones(2))
     assert np.allclose(dx, 0.0)
-
-
-def test_backward_requires_forward():
-    net = Mlp([2, 2], ["identity"])
-    with pytest.raises(RuntimeError):
-        net.backward(np.ones(2))
 
 
 def test_gradients_match_finite_differences_over_100_nets():
@@ -125,13 +113,10 @@ def test_gradients_match_finite_differences_over_100_nets():
         ):
             continue
         checked += 1
-        net.forward(x)
-        analytic, _ = net.backward(upstream)
+        analytic, _ = net.grads(tape, upstream)
         numeric = _numeric_param_grads(net, x, upstream)
-        for (dw, db), (nw, nb) in zip(analytic, zip(numeric[0::2], numeric[1::2])):
-            for a, n in ((dw, nw), (db, nb)):
-                denom = np.maximum(np.abs(n), 1e-3)
-                worst = max(worst, float(np.max(np.abs(a - n) / denom)))
+        denom = np.maximum(np.abs(numeric), 1e-3)
+        worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
     assert worst < 1e-4, f"worst relative gradient error {worst:.2e}"
 
 
@@ -143,40 +128,30 @@ def test_batched_param_grads_sum_over_batch():
     _, tape = net.apply(xs)
     batched, _ = net.grads(tape, ups)
     # sum of per-sample gradients
-    acc = None
+    acc = np.zeros_like(net.params)
     for i in range(5):
-        net.forward(xs[i])
-        single, _ = net.backward(ups[i])
-        if acc is None:
-            acc = [[dw.copy(), db.copy()] for dw, db in single]
-        else:
-            for a, (dw, db) in zip(acc, single):
-                a[0] += dw
-                a[1] += db
-    for (bw, bb), (aw, ab) in zip(batched, acc):
-        assert np.allclose(bw, aw, atol=1e-12)
-        assert np.allclose(bb, ab, atol=1e-12)
+        _, tape_i = net.apply(xs[i])
+        acc += net.grads(tape_i, ups[i])[0]
+    assert np.allclose(batched, acc, atol=1e-12)
 
 
 # -- optimizer --------------------------------------------------------------
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
     net = Mlp([2, 2], ["identity"], np.random.default_rng(0))
-    before = [p.copy() for p in net.parameters()]
+    before = net.params.copy()
     state = AdamState.for_net(net)
-    adam_step(state, net.parameters(), [np.zeros_like(p) for p in net.parameters()], lr=0.1)
-    for p, b in zip(net.parameters(), before):
-        assert np.array_equal(p, b)
+    adam_step(state, net.params, np.zeros_like(net.params), lr=0.1)
+    assert np.array_equal(net.params, before)
 
 
 def test_adam_zero_lr_leaves_parameters_unchanged():
     rng = np.random.default_rng(1)
     net = Mlp([2, 2], ["identity"], rng)
-    before = [p.copy() for p in net.parameters()]
+    before = net.params.copy()
     state = AdamState.for_net(net)
-    adam_step(state, net.parameters(), [rng.standard_normal(p.shape) for p in net.parameters()], lr=0.0)
-    for p, b in zip(net.parameters(), before):
-        assert np.array_equal(p, b)
+    adam_step(state, net.params, rng.standard_normal(net.params.shape), lr=0.0)
+    assert np.array_equal(net.params, before)
 
 
 def test_adam_first_step_scalar_hand_computation():
@@ -184,8 +159,8 @@ def test_adam_first_step_scalar_hand_computation():
     # lr * g / (|g| + eps) regardless of beta values
     p = np.array([1.0])
     g = np.array([0.37])
-    state = AdamState(m=[np.zeros(1)], v=[np.zeros(1)])
-    adam_step(state, [p], [g], lr=0.01)
+    state = AdamState(m=np.zeros(1), v=np.zeros(1))
+    adam_step(state, p, g, lr=0.01)
     expect = 1.0 - 0.01 * 0.37 / (abs(0.37) + 1e-8)
     assert p[0] == pytest.approx(expect, rel=1e-9)
 
@@ -200,13 +175,17 @@ def test_clone_is_deep():
     assert net.weights[0][0, 0] != other.weights[0][0, 0]
 
 
-def test_flatten_param_grads_order_matches_parameters():
+def test_params_layout_views_and_grad_shape():
     net = Mlp([3, 4, 2], ["relu", "identity"], np.random.default_rng(0))
-    net.forward(np.ones(3))
-    pg, _ = net.backward(np.ones(2))
-    flat = flatten_param_grads(pg)
-    for g, p in zip(flat, net.parameters()):
-        assert g.shape == p.shape
+    assert net.params.size == (3 + 1) * 4 + (4 + 1) * 2
+    for w, b in zip(net.weights, net.biases):
+        assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
+    _, tape = net.apply(np.ones(3))
+    grad, _ = net.grads(tape, np.ones(2))
+    assert grad.shape == net.params.shape
+    other = net.clone()
+    assert not np.shares_memory(other.params, net.params)
+    assert np.array_equal(other.params, net.params)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -216,7 +195,7 @@ def test_checkpoint_roundtrip(tmp_path):
     save_weights(path, net)
     loaded = load_weights(path)
     x = rng.standard_normal(4)
-    assert np.array_equal(net.forward(x), loaded.forward(x))
+    assert np.array_equal(net.apply(x)[0], loaded.apply(x)[0])
     assert loaded.widths == net.widths and loaded.activations == net.activations
 
 

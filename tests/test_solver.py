@@ -7,7 +7,15 @@ import pytest
 
 from edgecontract import feasibility as fz
 from edgecontract import solver
-from edgecontract.econ import ContractMenu, PTParams, pt_expected
+from edgecontract.econ import (
+    ChannelParams,
+    ContractMenu,
+    HMDParams,
+    PTParams,
+    SensitivityParams,
+    TypeGrid,
+    pt_expected,
+)
 from edgecontract.solver import SearchSpec, monotone_grids, refine_local, solve_grid
 
 from conftest import make_grid, simple_channel, simple_hmd, simple_sens
@@ -100,3 +108,42 @@ def test_refined_menu_stays_inside_search_box(rng):
     result = refine_local(solve_grid(spec, grid, ch, hmd, sens, pt), spec, grid, ch, hmd, sens, pt)
     assert np.all(result.menu.b >= spec.b_range[0]) and np.all(result.menu.b <= spec.b_range[1])
     assert np.all(result.menu.f >= spec.f_range[0]) and np.all(result.menu.f <= spec.f_range[1])
+
+
+def test_refine_keeps_monotonicity_on_2x3_lattice():
+    # on this 2 x 3 scenario a pattern-search probe breaks f monotonicity;
+    # minimal_reward_oracle completes such probes without complaint, so
+    # refine_local has to reject them itself
+    grid = TypeGrid(
+        theta=np.array([41.9494192225345, 153.72084163750117]),
+        sigma=np.array([17.762089661050535, 40.759592811286026, 102.32945487477328]),
+        q=np.array([[0.18577354956499117, 0.14652051138747962, 0.18543784375388933],
+                    [0.13061240532023558, 0.21766222290009674, 0.13399346707330748]]),
+    )
+    ch = ChannelParams(
+        p=np.array([[0.18578528981680592, 0.10121259031557783, 0.1339606102828187],
+                    [0.19329303073726167, 0.11183974091388016, 0.21830831708681184]]),
+        g2=np.array([[0.003945174569196463, 0.0046434282038432745, 0.005429040413823905],
+                     [0.004671970782976997, 0.003372312012205157, 0.004259341274455013]]),
+        n0=3.162277660168379e-07,
+        c=0.02,
+        d=np.array([[11.558348448642136, 36.14871242558085, 34.7817426906265],
+                    [38.01584214561789, 24.767009269738615, 73.8998348821484]]),
+    )
+    hmd = HMDParams(
+        resolution=2592000.0,
+        framerate=90.0,
+        s_eff=np.array([[2.7573998620323614, 1.9515024878767604, 2.850542044301076],
+                        [2.202855445523565, 2.2562209528493558, 2.109900624414787]]),
+        t_th=1e6,
+        zeta1=0.5,
+        zeta2=0.5,
+        mu=np.array([[0.623246913380832, 0.9649419370283852, 0.7896727181428784],
+                     [0.7418419584573694, 0.21628303300344887, 0.6935015111065366]]),
+    )
+    sens = SensitivityParams(alpha_imm=0.05, beta_lat=0.5)
+    spec = SearchSpec(grid_points=3)
+    coarse = solve_grid(spec, grid, ch, hmd, sens, _pt())
+    refined = refine_local(coarse, spec, grid, ch, hmd, sens, _pt())
+    assert refined.objective >= coarse.objective
+    assert fz.check_full(refined.menu, grid).feasible
