@@ -44,17 +44,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    env_seed = os.environ.get("EDGECONTRACT_SEED")
     try:
         cfg = load_config(path=str(args.config) if args.config else None)
+        if args.seed is not None:
+            cfg.seed = args.seed
+        elif env_seed is not None:
+            try:
+                cfg.seed = int(env_seed)
+            except ValueError:
+                raise ValueError(f"EDGECONTRACT_SEED={env_seed!r} is not an integer") from None
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 2
-
-    env_seed = os.environ.get("EDGECONTRACT_SEED")
-    if args.seed is not None:
-        cfg.seed = args.seed
-    elif env_seed is not None:
-        cfg.seed = int(env_seed)
 
     out = args.out
     try:
@@ -69,6 +71,9 @@ def main(argv: list[str] | None = None) -> int:
     except FloatingPointError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"error: bad input: {exc}", file=sys.stderr)
+        return 2
     return 2
 
 

@@ -23,7 +23,7 @@ from .econ import (
     TypeGrid,
     pt_expected,
 )
-from .feasibility import cross_utility_tensor, own_utilities
+from .feasibility import ic_slack
 from .nn import AdamState, Mlp, adam_step
 
 __all__ = [
@@ -264,19 +264,6 @@ def generate(sc: Scenario, agent: GdmAgent, rng: np.random.Generator) -> Contrac
     return map_action(u, agent.bounds, agent.m, agent.n)
 
 
-def _ic_slack(menu: ContractMenu, grid: TypeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Own-item utilities (M, N) and the IC slack matrix (MN, MN).
-
-    Entry [(m, n), (p, q)] is V^{own}_{m,n} - V^{p,q}_{m,n}; the diagonal
-    (m, n) == (p, q) is exactly 0.0, so summing the whole matrix gives the
-    off-diagonal sum in the element order of the full tensor.
-    """
-    v = cross_utility_tensor(menu, grid)
-    own = np.einsum("mnmn->mn", v)
-    mn = grid.m * grid.n
-    return own, own.reshape(mn, 1) - v.reshape(mn, mn)
-
-
 def reward_fn(
     menu: ContractMenu,
     grid: TypeGrid,
@@ -295,8 +282,8 @@ def reward_fn(
     penalized; the literal sum is the default.
     """
     u_pt = pt_expected(menu, grid, ch, hmd, sens, pt)
-    own, slack = _ic_slack(menu, grid)
-    slack = slack[~np.eye(slack.shape[0], dtype=bool)]
+    own, slack = ic_slack(menu, grid)
+    slack = slack.reshape(own.size, own.size)[~np.eye(own.size, dtype=bool)]
     if violations_only:
         slack = np.minimum(slack, 0.0)
     return float(u_pt + own.sum() + penalty_weight * slack.sum())
@@ -305,7 +292,9 @@ def reward_fn(
 def reward_components(menu, grid, ch, hmd, sens, pt) -> tuple[float, float, float]:
     """(u_pt, ic_slack_sum, ir_slack_min) diagnostics for the training log."""
     u_pt = pt_expected(menu, grid, ch, hmd, sens, pt)
-    own, slack = _ic_slack(menu, grid)
+    # the diagonal slack is exactly 0.0; summing the whole tensor keeps the
+    # element order of the full (M, N, M, N) sum
+    own, slack = ic_slack(menu, grid)
     return u_pt, float(slack.sum()), float(own.min())
 
 

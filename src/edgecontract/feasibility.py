@@ -1,16 +1,19 @@
 """IR/IC feasibility checking and minimal-reward recovery for contract menus.
 
-Two independent routes to the minimal feasible rewards are provided:
+:func:`ic_slack` is the one computation of IC slack: the checkers list
+violations from it, and the diffusion reward sums it.
 
-* :func:`recurrence_utilities` / :func:`optimal_rewards` — the closed-form
-  chain over type neighbors, valid for monotone resource grids; and
-* :func:`minimal_reward_oracle` — a longest-path fixpoint over the complete
-  difference-constraint graph, valid for arbitrary inputs.
+:func:`minimal_reward_oracle` gives the minimal feasible rewards on every
+lattice: the IR/IC constraints are difference constraints on R, so the least
+solution is a longest-path fixpoint over the complete constraint graph
+(CLRS §24.4).  The solver completes every candidate through it.
 
-On 2 x 2 lattices the two must agree exactly (every cell pair is adjacent);
-tests enforce this.  On larger lattices the neighbor recurrence can
-under-estimate when a non-adjacent constraint binds, so the oracle is the
-reference there.
+:func:`recurrence_utilities` / :func:`optimal_rewards` — the closed-form
+chain over type neighbors, valid for monotone resource grids — are kept as
+the independent reference: on 2 x 2 lattices (every cell pair adjacent) the
+two routes must agree exactly, and tests and ``verify`` enforce this.  On
+larger lattices the neighbor recurrence can under-estimate when a
+non-adjacent constraint binds.
 
 Note that per-axis monotonicity does not guarantee implementability: an
 anti-diagonal type pair (higher theta / lower sigma against the reverse) can
@@ -29,11 +32,11 @@ from .econ import ContractMenu, TypeGrid
 __all__ = [
     "SLACK_TOL",
     "FeasibilityReport",
-    "DeltaLambda",
     "InfeasibleMenuError",
     "NonMonotoneError",
     "cross_utility",
     "own_utilities",
+    "ic_slack",
     "check_ir",
     "check_ic_full",
     "check_monotone",
@@ -81,20 +84,6 @@ class FeasibilityReport:
         return rows
 
 
-@dataclass(frozen=True)
-class DeltaLambda:
-    """Inverse-gap vectors of the type lattice; positive by construction."""
-
-    delta: np.ndarray
-    lam: np.ndarray
-
-    @classmethod
-    def from_grid(cls, grid: TypeGrid) -> "DeltaLambda":
-        delta = 1.0 / grid.theta[:-1] - 1.0 / grid.theta[1:]
-        lam = 1.0 / grid.sigma[:-1] - 1.0 / grid.sigma[1:]
-        return cls(delta=delta, lam=lam)
-
-
 def cross_utility(menu: ContractMenu, grid: TypeGrid, m: int, n: int, p: int, q: int) -> float:
     """Utility of type (m, n) selecting the item designed for type (p, q)."""
     menu.check_dims(grid)
@@ -125,6 +114,25 @@ def own_utilities(menu: ContractMenu, grid: TypeGrid) -> np.ndarray:
     )
 
 
+def ic_slack(menu: ContractMenu, grid: TypeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Own-item utilities (M, N) and the IC slack tensor (M, N, M, N).
+
+    Entry [m, n, p, q] is V^{own}_{m,n} - V^{p,q}_{m,n}; a negative entry is
+    an IC violation.  The diagonal (m, n) == (p, q) is exactly 0.0.
+    """
+    v = cross_utility_tensor(menu, grid)
+    own = np.einsum("mnmn->mn", v)
+    return own, own[:, :, None, None] - v
+
+
+def _ic_violations(slack: np.ndarray, mask: np.ndarray) -> list[tuple[int, int, int, int, float]]:
+    """(m, n, p, q, slack) for every entry in ``mask``, in index order."""
+    return [
+        (int(m), int(n), int(p), int(q), float(slack[m, n, p, q]))
+        for m, n, p, q in np.argwhere(mask)
+    ]
+
+
 def check_ir(menu: ContractMenu, grid: TypeGrid) -> list[tuple[int, int, float]]:
     """List every type pair whose own-item utility is below -SLACK_TOL."""
     v = own_utilities(menu, grid)
@@ -136,17 +144,9 @@ def check_ir(menu: ContractMenu, grid: TypeGrid) -> list[tuple[int, int, float]]
 
 def check_ic_full(menu: ContractMenu, grid: TypeGrid) -> list[tuple[int, int, int, int, float]]:
     """Evaluate all MN(MN-1) pairwise constraints V^{own} >= V^{other}."""
-    v = cross_utility_tensor(menu, grid)
-    m_dim, n_dim = menu.shape
-    own = np.einsum("mnmn->mn", v)
-    out = []
-    for m in range(m_dim):
-        for n in range(n_dim):
-            slack = own[m, n] - v[m, n]
-            slack[m, n] = np.inf  # own item is not a constraint
-            for p, q in zip(*np.where(slack < -SLACK_TOL)):
-                out.append((m, n, int(p), int(q), float(slack[p, q])))
-    return out
+    _, slack = ic_slack(menu, grid)
+    # the diagonal slack is exactly 0, so own items never count as violations
+    return _ic_violations(slack, slack < -SLACK_TOL)
 
 
 def _monotone_violations_one(x: np.ndarray, name: str) -> list[tuple]:
@@ -189,31 +189,19 @@ def check_reduced(menu: ContractMenu, grid: TypeGrid) -> FeasibilityReport:
     pairs are not ordered by the lattice and no local constraint implies
     them, so dropping any of them loses violations.
     """
-    menu.check_dims(grid)
-    v = cross_utility_tensor(menu, grid)
-    own = np.einsum("mnmn->mn", v)
+    own, slack = ic_slack(menu, grid)
     m_dim, n_dim = menu.shape
 
     ir = []
     if own[0, 0] < -SLACK_TOL:
         ir.append((0, 0, float(own[0, 0])))
 
-    ic = []
-    for m in range(m_dim):
-        for n in range(n_dim):
-            targets = set()
-            for p, q in ((m, n - 1), (m - 1, n), (m - 1, n - 1),
-                         (m, n + 1), (m + 1, n), (m + 1, n + 1)):
-                if 0 <= p < m_dim and 0 <= q < n_dim:
-                    targets.add((p, q))
-            for p in range(m_dim):
-                for q in range(n_dim):
-                    if (p - m) * (q - n) < 0:
-                        targets.add((p, q))
-            for p, q in sorted(targets):
-                slack = own[m, n] - v[m, n, p, q]
-                if slack < -SLACK_TOL:
-                    ic.append((m, n, p, q, float(slack)))
+    # offsets (p - m, q - n) of every ordered type pair, shape (M, N, M, N)
+    dm = np.arange(m_dim)[None, None, :, None] - np.arange(m_dim)[:, None, None, None]
+    dn = np.arange(n_dim)[None, None, None, :] - np.arange(n_dim)[None, :, None, None]
+    comparable_neighbor = (np.maximum(np.abs(dm), np.abs(dn)) == 1) & (dm * dn >= 0)
+    incomparable = dm * dn < 0
+    ic = _ic_violations(slack, (comparable_neighbor | incomparable) & (slack < -SLACK_TOL))
 
     return FeasibilityReport(
         ir_violations=ir,
@@ -288,40 +276,37 @@ def optimal_rewards(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
     return v + b_grid**2 / grid.theta[:, None] + f_grid**2 / grid.sigma[None, :]
 
 
-def minimal_reward_oracle(b_grid, f_grid, grid: TypeGrid, max_iters: int | None = None) -> np.ndarray:
+def minimal_reward_oracle(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
     """Componentwise-minimal rewards satisfying every IR and IC constraint.
 
-    The IC constraints are difference constraints on R; starting from the IR
-    lower bounds, repeated relaxation over the complete constraint graph
-    converges to the least fixpoint (longest paths).  A relaxation that is
-    still active after MN rounds witnesses a positive cycle, i.e.
-    infeasibility, and raises :class:`InfeasibleMenuError`.
+    The IC constraints are difference constraints on R,
+
+        R_{m,n} >= R_{p,q} + (b_{m,n}^2 - b_{p,q}^2)/theta_m
+                           + (f_{m,n}^2 - f_{p,q}^2)/sigma_n,
+
+    so, starting from the IR lower bounds, Jacobi relaxation over the
+    complete constraint graph converges to the least fixpoint (longest
+    paths).  A relaxation that is still active after MN rounds witnesses a
+    positive cycle, i.e. infeasibility, and raises
+    :class:`InfeasibleMenuError`.
     """
     b_grid = np.asarray(b_grid, dtype=float)
     f_grid = np.asarray(f_grid, dtype=float)
     if b_grid.shape != (grid.m, grid.n) or f_grid.shape != (grid.m, grid.n):
         raise ValueError("resource grids must match the type grid shape")
 
-    b2 = b_grid**2
-    f2 = f_grid**2
-    inv_t = 1.0 / grid.theta[:, None]
-    inv_s = 1.0 / grid.sigma[None, :]
+    b2 = (b_grid**2).ravel()
+    f2 = (f_grid**2).ravel()
+    inv_t = np.repeat(1.0 / grid.theta, grid.n)  # per cell, row-major
+    inv_s = np.tile(1.0 / grid.sigma, grid.m)
 
+    # w[i, j]: least excess of R_i over R_j; the diagonal is exactly 0
+    w = (b2[:, None] - b2) * inv_t[:, None] + (f2[:, None] - f2) * inv_s[:, None]
     r = b2 * inv_t + f2 * inv_s  # IR lower bounds
-    cells = [(m, n) for m in range(grid.m) for n in range(grid.n)]
-    n_cells = len(cells)
-
-    for _ in range(n_cells + 2):
-        changed = False
-        for m, n in cells:
-            # R_{m,n} >= R_{p,q} + (b_{m,n}^2 - b_{p,q}^2)/theta_m
-            #                    + (f_{m,n}^2 - f_{p,q}^2)/sigma_n
-            bound = np.max(
-                r + (b2[m, n] - b2) * inv_t[m, 0] + (f2[m, n] - f2) * inv_s[0, n]
-            )
-            if bound > r[m, n] + SLACK_TOL * 1e-3:
-                r[m, n] = bound
-                changed = True
-        if not changed:
-            return r
+    for _ in range(b2.size + 2):
+        bound = np.max(r + w, axis=1)
+        raised = bound > r + SLACK_TOL * 1e-3
+        if not raised.any():
+            return r.reshape(grid.m, grid.n)
+        r = np.where(raised, bound, r)
     raise InfeasibleMenuError("positive cycle in IC difference constraints")

@@ -24,7 +24,7 @@ from .diffusion import (
     train,
 )
 from .econ import ContractMenu
-from .scenario import ExperimentConfig, config_hash, sample_scenario
+from .scenario import MAX_REDRAWS, ExperimentConfig, config_hash, sample_scenario
 
 __all__ = [
     "RunRecord",
@@ -236,22 +236,43 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path | None = None, menu_csv: Pat
 
 
 def _read_menu_csv(path: Path, m: int, n: int) -> ContractMenu:
-    b = np.zeros((m, n))
-    f = np.zeros((m, n))
-    r = np.zeros((m, n))
-    lines = Path(path).read_text().strip().splitlines()[1:]
-    for line in lines:
-        mi, ni, bv, fv, rv = line.split(",")
-        b[int(mi), int(ni)] = float(bv)
-        f[int(mi), int(ni)] = float(fv)
-        r[int(mi), int(ni)] = float(rv)
-    return ContractMenu(b=b, f=f, r=r)
+    """Parse an m x n menu CSV as the commands write it: header ``m,n,b,f,r``
+    and one row per cell.  Any other content raises ValueError."""
+    try:
+        lines = Path(path).read_text().strip().splitlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read menu {path}: {exc.strerror}") from None
+    if not lines or lines[0].strip() != "m,n,b,f,r":
+        raise ValueError(f"menu {path}: header must be m,n,b,f,r")
+    bfr = np.empty((3, m, n))
+    seen = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        cols = line.split(",")
+        if len(cols) != 5:
+            raise ValueError(f"menu {path} line {lineno}: expected 5 columns, got {len(cols)}")
+        try:
+            cell = int(cols[0]), int(cols[1])
+            values = [float(c) for c in cols[2:]]
+        except ValueError:
+            raise ValueError(f"menu {path} line {lineno}: non-numeric value") from None
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"menu {path} line {lineno}: non-finite value")
+        if not (0 <= cell[0] < m and 0 <= cell[1] < n):
+            raise ValueError(f"menu {path} line {lineno}: cell {cell} outside the {m}x{n} grid")
+        if cell in seen:
+            raise ValueError(f"menu {path} line {lineno}: duplicate cell {cell}")
+        seen.add(cell)
+        bfr[:, cell[0], cell[1]] = values
+    if len(seen) != m * n:
+        missing = sorted({(i, j) for i in range(m) for j in range(n)} - seen)
+        raise ValueError(f"menu {path}: missing cells {missing}")
+    return ContractMenu(b=bfr[0], f=bfr[1], r=bfr[2])
 
 
 def _sample_implementable(rng: np.random.Generator, cfg: ExperimentConfig):
     """Scenario plus monotone resource grids with minimal feasible rewards,
     redrawn until the difference constraints admit a solution."""
-    while True:
+    for _ in range(MAX_REDRAWS):
         sc = sample_scenario(cfg, rng)
         b, f = _random_monotone_resources(rng, cfg)
         try:
@@ -259,6 +280,7 @@ def _sample_implementable(rng: np.random.Generator, cfg: ExperimentConfig):
         except feasibility.InfeasibleMenuError:
             continue
         return sc, b, f, r
+    raise ValueError(f"no implementable resource grids in {MAX_REDRAWS} draws")
 
 
 def _random_monotone_resources(rng: np.random.Generator, cfg: ExperimentConfig):

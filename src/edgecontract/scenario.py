@@ -222,7 +222,29 @@ def load_config(path: str | None = None, text: str | None = None) -> ExperimentC
             if kind is tuple:
                 kind = "range"
             setattr(target, key, _parse_value(val, kind if kind != "range" else tuple))
+    _validate(cfg)
     return cfg
+
+
+def _validate(cfg: ExperimentConfig) -> None:
+    """Reject values the commands cannot run with, before any work starts."""
+    cfg.search.to_spec()  # SearchSpec checks the search box and grid_points
+    sc = cfg.scenario
+    if (sc.m, sc.n) != (2, 2):
+        raise ValueError("[scenario] m and n must be 2: sampling is defined for 2x2 type grids")
+    for name in ("episodes", "steps", "batch_size"):
+        if getattr(cfg.training, name) < 1:
+            raise ValueError(f"[training] {name} must be >= 1")
+    for f in fields(sc):
+        lo_hi = getattr(sc, f.name)
+        if isinstance(lo_hi, tuple) and not lo_hi[0] <= lo_hi[1]:
+            raise ValueError(f"[scenario] {f.name} must be ordered as low, high")
+    for axis in ("theta", "sigma"):
+        # the second type is redrawn until it exceeds the first
+        if not getattr(sc, f"{axis}2_range")[1] > getattr(sc, f"{axis}1_range")[1]:
+            raise ValueError(
+                f"[scenario] {axis}2_range must reach above the upper end of {axis}1_range"
+            )
 
 
 def canonical_serialization(cfg: ExperimentConfig) -> str:
@@ -249,12 +271,17 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical_serialization(cfg).encode()).hexdigest()[:16]
 
 
+MAX_REDRAWS = 1000
+
+
 def _sample_increasing_pair(rng, lo_range, hi_range):
     lo = rng.uniform(*lo_range)
-    hi = rng.uniform(*hi_range)
-    while hi <= lo:  # shared endpoint: resample exact ties
+    # redraw the second type until it exceeds the first (ranges may overlap)
+    for _ in range(MAX_REDRAWS):
         hi = rng.uniform(*hi_range)
-    return lo, hi
+        if hi > lo:
+            return lo, hi
+    raise ValueError(f"no draw from {hi_range} exceeded {lo!r} in {MAX_REDRAWS} tries")
 
 
 def sample_scenario(cfg: ExperimentConfig, rng: np.random.Generator) -> Scenario:

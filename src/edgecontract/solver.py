@@ -24,10 +24,9 @@ from .econ import (
 )
 from .feasibility import (
     InfeasibleMenuError,
-    NonMonotoneError,
     check_monotone,
     minimal_reward_oracle,
-    optimal_rewards,
+    optimal_rewards,  # noqa: F401  unused; perfbench's tracer wraps solver.optimal_rewards
 )
 
 __all__ = ["SearchSpec", "SolveResult", "solve_grid", "refine_local", "monotone_grids"]
@@ -108,16 +107,9 @@ def _complete_and_score(
     sens: SensitivityParams,
     pt: PTParams,
 ) -> tuple[ContractMenu, float] | None:
-    # the neighbor recurrence is exact only on 2 x 2 lattices; candidates
-    # with a positive IC cycle are simply not implementable and are skipped
+    # candidates with a positive IC cycle are not implementable and are skipped
     try:
-        if (grid.m, grid.n) == (2, 2):
-            try:
-                r = optimal_rewards(b_grid, f_grid, grid)
-            except NonMonotoneError:
-                r = minimal_reward_oracle(b_grid, f_grid, grid)
-        else:
-            r = minimal_reward_oracle(b_grid, f_grid, grid)
+        r = minimal_reward_oracle(b_grid, f_grid, grid)
     except InfeasibleMenuError:
         return None
     menu = ContractMenu(b=b_grid, f=f_grid, r=r)
@@ -189,16 +181,10 @@ def refine_local(
         # minimal_reward_oracle does not check monotonicity itself
         if check_monotone(ContractMenu(b=b_new, f=f_new, r=np.zeros_like(b_new))):
             return None
-        try:
-            if (grid.m, grid.n) == (2, 2):
-                r = optimal_rewards(b_new, f_new, grid)
-            else:
-                r = minimal_reward_oracle(b_new, f_new, grid)
-        except InfeasibleMenuError:
-            return None
-        menu = ContractMenu(b=b_new.copy(), f=f_new.copy(), r=r)
-        evals += 1
-        return menu, pt_expected(menu, grid, ch, hmd, sens, pt)
+        scored = _complete_and_score(b_new.copy(), f_new.copy(), grid, ch, hmd, sens, pt)
+        if scored is not None:
+            evals += 1
+        return scored
 
     best_menu = result.menu
     for _ in range(spec.refine_iters):

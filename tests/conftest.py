@@ -15,17 +15,22 @@ from edgecontract.econ import (
     db_to_linear,
     dbm_to_watts,
 )
-from edgecontract.scenario import ExperimentConfig
+from edgecontract.scenario import MAX_REDRAWS, ExperimentConfig
+
+
+def _increasing_types(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Sorted uniform draws, redrawn on exact ties."""
+    for _ in range(MAX_REDRAWS):
+        x = np.sort(rng.uniform(10.0, 200.0, size=size))
+        if np.all(np.diff(x) > 0):
+            return x
+    raise RuntimeError(f"no strictly increasing draw in {MAX_REDRAWS} tries")
 
 
 def make_grid(rng: np.random.Generator, m: int = 2, n: int = 2) -> TypeGrid:
     """Random strictly increasing type grid in the simulation ranges."""
-    theta = np.sort(rng.uniform(10.0, 200.0, size=m))
-    while np.any(np.diff(theta) <= 0):
-        theta = np.sort(rng.uniform(10.0, 200.0, size=m))
-    sigma = np.sort(rng.uniform(10.0, 200.0, size=n))
-    while np.any(np.diff(sigma) <= 0):
-        sigma = np.sort(rng.uniform(10.0, 200.0, size=n))
+    theta = _increasing_types(rng, m)
+    sigma = _increasing_types(rng, n)
     q = rng.uniform(0.5, 1.0, size=(m, n))
     q = q / q.sum()
     return TypeGrid(theta=theta, sigma=sigma, q=q)
@@ -42,13 +47,14 @@ def monotone_bf(rng: np.random.Generator, m: int = 2, n: int = 2,
 def implementable_bf(rng: np.random.Generator, grid: TypeGrid):
     """Monotone resource grids redrawn until the IC system is solvable;
     returns (b, f, minimal rewards)."""
-    while True:
+    for _ in range(MAX_REDRAWS):
         b, f = monotone_bf(rng, grid.m, grid.n)
         try:
             r = feasibility.minimal_reward_oracle(b, f, grid)
         except feasibility.InfeasibleMenuError:
             continue
         return b, f, r
+    raise RuntimeError(f"no implementable resource grids in {MAX_REDRAWS} draws")
 
 
 def simple_channel(p_dbm: float = 22.5, g_db: float = -23.5, d: float = 50.0) -> ChannelParams:

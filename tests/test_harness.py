@@ -12,6 +12,7 @@ from edgecontract.scenario import (
     ExperimentConfig,
     canonical_serialization,
     config_hash,
+    _sample_increasing_pair,
     load_config,
     sample_scenario,
 )
@@ -129,6 +130,28 @@ def test_sample_scenario_first_type_mean(rng):
     draws = np.array([sample_scenario(cfg, rng).grid.theta[0] for _ in range(n)])
     se = (90.0 / np.sqrt(12.0)) / np.sqrt(n)
     assert abs(draws.mean() - 55.0) < 3 * se
+
+
+@pytest.mark.parametrize("text, match", [
+    ("[search]\ngrid_points = 1\n", "grid_points"),
+    ("[search]\nb_min = 5\nb_max = 1\n", "b_min"),
+    ("[scenario]\nm = 3\n", "2x2"),
+    ("[training]\nepisodes = 0\n", "episodes"),
+    ("[training]\nsteps = 0\n", "steps"),
+    ("[training]\nbatch_size = 0\n", "batch_size"),
+    ("[scenario]\nmu_range = 1.0, 0.1\n", "mu_range must be ordered"),
+    ("[scenario]\ntheta1_range = 100, 200\ntheta2_range = 10, 50\n", "theta2_range"),
+    ("[scenario]\nsigma2_range = 10, 100\n", "sigma2_range"),
+])
+def test_load_config_rejects_unusable_values(text, match):
+    with pytest.raises(ValueError, match=match):
+        load_config(text=text)
+
+
+def test_sample_increasing_pair_gives_up_instead_of_hanging():
+    # every draw of the second type lies below the first: a bounded redraw
+    with pytest.raises(ValueError, match="tries"):
+        _sample_increasing_pair(np.random.default_rng(0), (100.0, 200.0), (10.0, 50.0))
 
 
 def test_sample_scenario_rejects_non_2x2():
@@ -260,3 +283,53 @@ def test_cli_seed_flag_beats_env(tmp_path, monkeypatch):
     assert cli.main(["solve", "--config", str(cfgfile), "--seed", "4", "--out", str(out)]) == 0
     summary = (out / "solve_summary.csv").read_text().splitlines()[1]
     assert summary.split(",")[1] == "4"
+
+
+def _cli_fails_cleanly(argv, capsys) -> None:
+    """Exit code 2 and exactly one stderr line, no traceback."""
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_non_integer_env_seed_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("EDGECONTRACT_SEED", "abc")
+    _cli_fails_cleanly(["solve", "--config", str(_solve_config_file(tmp_path))], capsys)
+
+
+@pytest.mark.parametrize("text", [
+    "[search]\ngrid_points = 1\n",
+    "[scenario]\nm = 3\n",
+    "[training]\nepisodes = 0\n",
+    "[scenario]\ntheta1_range = 100, 200\ntheta2_range = 10, 50\n",
+])
+def test_cli_unusable_config_exits_2(tmp_path, capsys, text):
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text(text)
+    _cli_fails_cleanly(["train", "--config", str(cfgfile), "--out", str(tmp_path)], capsys)
+
+
+_MENU_ROWS = ["m,n,b,f,r", "0,0,1.0,0.5,2.0", "0,1,1.0,0.5,2.0", "1,0,1.0,0.5,2.0",
+              "1,1,1.0,0.5,2.0"]
+
+
+@pytest.mark.parametrize("rows", [
+    ["m,n,b,f,R"] + _MENU_ROWS[1:],                          # wrong header
+    _MENU_ROWS[:2] + ["0,1,1.0,0.5"] + _MENU_ROWS[3:],       # wrong column count
+    _MENU_ROWS[:2] + ["0,1,1.0,x,2.0"] + _MENU_ROWS[3:],     # non-numeric
+    _MENU_ROWS[:2] + ["0,1,1.0,nan,2.0"] + _MENU_ROWS[3:],   # non-finite
+    _MENU_ROWS[:3],                                          # missing cells
+    _MENU_ROWS + ["1,1,1.0,0.5,2.0"],                        # duplicate cell
+    _MENU_ROWS + ["2,0,1.0,0.5,2.0"],                        # out of range
+], ids=["header", "columns", "non-numeric", "non-finite", "missing", "duplicate", "out-of-range"])
+def test_cli_verify_rejects_malformed_menu(tmp_path, capsys, rows):
+    path = tmp_path / "menu.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError):
+        harness._read_menu_csv(path, 2, 2)
+    _cli_fails_cleanly(["verify", "--menu", str(path), "--out", str(tmp_path)], capsys)
+
+
+def test_cli_verify_missing_menu_file_exits_2(tmp_path, capsys):
+    _cli_fails_cleanly(["verify", "--menu", str(tmp_path / "absent.csv"), "--out", str(tmp_path)],
+                       capsys)

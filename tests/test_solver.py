@@ -54,14 +54,15 @@ def test_solve_grid_matches_independent_enumeration(rng):
     result = solve_grid(spec, grid, ch, hmd, sens, pt)
 
     # brute force: every pair of monotone level assignments, completed with
-    # the reward oracle, scored the same way
+    # the neighbor recurrence (exact on 2 x 2, independent of the solver's
+    # oracle route), scored the same way
     b_levels = np.linspace(0.0, 10.0, 3)
     f_levels = np.linspace(0.0, 3.0, 3)
     best = -np.inf
     for b in monotone_grids(b_levels, 2, 2):
         for f in monotone_grids(f_levels, 2, 2):
             try:
-                r = fz.minimal_reward_oracle(b, f, grid)
+                r = fz.optimal_rewards(b, f, grid)
             except fz.InfeasibleMenuError:
                 continue
             obj = pt_expected(ContractMenu(b=b, f=f, r=r), grid, ch, hmd, sens, pt)
