@@ -30,6 +30,7 @@ __all__ = [
     "eut_expected",
     "prob_weight",
     "pt_value",
+    "pt_objective",
     "pt_expected",
     "dbm_to_watts",
     "db_to_linear",
@@ -320,9 +321,14 @@ def utility_matrix(
 ) -> np.ndarray:
     """Per-type buyer utilities U_{m,n} as an (M, N) array."""
     menu.check_dims(grid)
-    imm = _as_array(immersion(menu.b, menu.f, ch, hmd))
-    lat = _as_array(latency(menu.b, ch))
-    return sens.alpha_imm * imm - sens.beta_lat * lat - menu.r
+    return _buyer_utilities(menu.b, menu.f, menu.r, ch, hmd, sens)
+
+
+def _buyer_utilities(b, f, r, ch, hmd, sens) -> np.ndarray:
+    """alpha*immersion - beta*latency - R, elementwise over (..., M, N)."""
+    imm = _as_array(immersion(b, f, ch, hmd))
+    lat = _as_array(latency(b, ch))
+    return sens.alpha_imm * imm - sens.beta_lat * lat - r
 
 
 def eut_expected(menu, grid, ch, hmd, sens) -> float:
@@ -356,13 +362,14 @@ def pt_value(u, pt: PTParams):
     return out
 
 
-def pt_expected(menu, grid, ch, hmd, sens, pt: PTParams) -> float:
-    """Prospect-theory expected buyer utility over all type pairs.
+def pt_objective(b, f, r, grid, ch, hmd, sens, pt: PTParams) -> np.ndarray:
+    """Prospect-theory expected buyer utility of menus stacked as (..., M, N)
+    arrays of ``b``, ``f`` and ``r``; one value per leading index.
 
     Weights are the raw probabilities Q_{m,n}, or their inverse-S transform
     when ``pt.use_weighting`` is on.
     """
-    u = utility_matrix(menu, grid, ch, hmd, sens)
+    u = _buyer_utilities(b, f, r, ch, hmd, sens)
     if pt.use_weighting:
         # zero-probability cells contribute nothing; transform only positives
         w = np.zeros_like(grid.q)
@@ -370,7 +377,13 @@ def pt_expected(menu, grid, ch, hmd, sens, pt: PTParams) -> float:
         w[pos] = prob_weight(grid.q[pos], pt.weight_coeff)
     else:
         w = grid.q
-    return float(np.sum(w * pt_value(u, pt)))
+    return np.sum(w * pt_value(u, pt), axis=(-2, -1))
+
+
+def pt_expected(menu, grid, ch, hmd, sens, pt: PTParams) -> float:
+    """Prospect-theory expected buyer utility of one menu (:func:`pt_objective`)."""
+    menu.check_dims(grid)
+    return float(pt_objective(menu.b, menu.f, menu.r, grid, ch, hmd, sens, pt))
 
 
 def dbm_to_watts(x: float) -> float:

@@ -3,10 +3,14 @@
 :func:`ic_slack` is the one computation of IC slack: the checkers list
 violations from it, and the diffusion reward sums it.
 
-:func:`minimal_reward_oracle` gives the minimal feasible rewards on every
-lattice: the IR/IC constraints are difference constraints on R, so the least
-solution is a longest-path fixpoint over the complete constraint graph
-(CLRS §24.4).  The solver completes every candidate through it.
+:func:`minimal_rewards` gives the minimal feasible rewards on every lattice,
+for a whole batch of candidate resource grids at once: the IR/IC constraints
+are difference constraints on R, so the least solution is a longest-path
+fixpoint over the complete constraint graph (CLRS §24.4), found by one Jacobi
+relaxation over all candidates.  :func:`minimal_reward_oracle` is its batch
+of one, which raises :class:`InfeasibleMenuError` instead of returning a
+verdict.  The solver's grid search completes its candidates in batches, and
+its refinement completes one probe at a time.
 
 :func:`recurrence_utilities` / :func:`optimal_rewards` — the closed-form
 chain over type neighbors, valid for monotone resource grids — are kept as
@@ -44,6 +48,7 @@ __all__ = [
     "check_reduced",
     "recurrence_utilities",
     "optimal_rewards",
+    "minimal_rewards",
     "minimal_reward_oracle",
 ]
 
@@ -276,8 +281,8 @@ def optimal_rewards(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
     return v + b_grid**2 / grid.theta[:, None] + f_grid**2 / grid.sigma[None, :]
 
 
-def minimal_reward_oracle(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
-    """Componentwise-minimal rewards satisfying every IR and IC constraint.
+def minimal_rewards(b, f, grid: TypeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Componentwise-minimal rewards for a batch of (C, M, N) resource grids.
 
     The IC constraints are difference constraints on R,
 
@@ -286,27 +291,47 @@ def minimal_reward_oracle(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
 
     so, starting from the IR lower bounds, Jacobi relaxation over the
     complete constraint graph converges to the least fixpoint (longest
-    paths).  A relaxation that is still active after MN rounds witnesses a
-    positive cycle, i.e. infeasibility, and raises
-    :class:`InfeasibleMenuError`.
+    paths, CLRS §24.4).  Every candidate relaxes on its own slice of one
+    (MN, MN, C) weight tensor; a candidate still being raised after MN + 2
+    rounds has a positive cycle, i.e. is infeasible.  Returns
+    ``(r, feasible)`` with shapes (C, M, N) and (C,); the rewards of
+    infeasible candidates are meaningless.
     """
-    b_grid = np.asarray(b_grid, dtype=float)
-    f_grid = np.asarray(f_grid, dtype=float)
-    if b_grid.shape != (grid.m, grid.n) or f_grid.shape != (grid.m, grid.n):
-        raise ValueError("resource grids must match the type grid shape")
+    b = np.asarray(b, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if b.ndim != 3 or b.shape[1:] != (grid.m, grid.n) or f.shape != b.shape:
+        raise ValueError("resource grids must be (C, M, N) with the type grid's shape")
 
-    b2 = (b_grid**2).ravel()
-    f2 = (f_grid**2).ravel()
-    inv_t = np.repeat(1.0 / grid.theta, grid.n)  # per cell, row-major
-    inv_s = np.tile(1.0 / grid.sigma, grid.m)
+    c, mn = b.shape[0], grid.m * grid.n
+    # cells lead and candidates trail, so every array pass runs over C
+    b2 = np.square(b.reshape(c, mn).T, order="C")
+    f2 = np.square(f.reshape(c, mn).T, order="C")
+    inv_t = np.repeat(1.0 / grid.theta, grid.n)[:, None]  # per cell, row-major
+    inv_s = np.tile(1.0 / grid.sigma, grid.m)[:, None]
 
-    # w[i, j]: least excess of R_i over R_j; the diagonal is exactly 0
+    # w[i, j, c]: least excess of R_i over R_j; the diagonal is exactly 0
     w = (b2[:, None] - b2) * inv_t[:, None] + (f2[:, None] - f2) * inv_s[:, None]
-    r = b2 * inv_t + f2 * inv_s  # IR lower bounds
-    for _ in range(b2.size + 2):
+    r = b2 * inv_t + f2 * inv_s  # IR lower bounds, (MN, C)
+    for _ in range(mn + 2):
         bound = np.max(r + w, axis=1)
-        raised = bound > r + SLACK_TOL * 1e-3
-        if not raised.any():
-            return r.reshape(grid.m, grid.n)
-        r = np.where(raised, bound, r)
-    raise InfeasibleMenuError("positive cycle in IC difference constraints")
+        up = bound > r + SLACK_TOL * 1e-3
+        if not up.any():
+            break
+        # a candidate with nothing raised has converged and stays as it is
+        r = np.where(up, bound, r)
+    return r.T.reshape(c, grid.m, grid.n), ~up.any(axis=0)
+
+
+def minimal_reward_oracle(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
+    """Minimal feasible (M, N) rewards of one menu's resource grids
+    (:func:`minimal_rewards` on a batch of one).
+
+    Raises :class:`InfeasibleMenuError` when the IC difference constraints
+    have a positive cycle.
+    """
+    r, feasible = minimal_rewards(
+        np.asarray(b_grid, dtype=float)[None], np.asarray(f_grid, dtype=float)[None], grid
+    )
+    if not feasible[0]:
+        raise InfeasibleMenuError("positive cycle in IC difference constraints")
+    return r[0]

@@ -1,4 +1,4 @@
-"""Experiment commands: solve, train, verify, sweep, and plot-data export.
+"""Experiment commands: solve, train, verify, sweep.
 
 Every command takes an :class:`ExperimentConfig`, writes CSV artifacts into
 the configured output directory, and returns 0 on success.  Outputs are a
@@ -32,7 +32,6 @@ __all__ = [
     "cmd_train",
     "cmd_verify",
     "cmd_sweep",
-    "emit_plotdata",
 ]
 
 U_REF_SWEEP = (5.0, 10.0, 15.0, 20.0)
@@ -327,17 +326,3 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path | None = None, which: str = "
     monotone = all(rewards[i] >= rewards[i + 1] for i in range(len(rewards) - 1))
     print(f"sweep {which}: finals={['%.3f' % r for r in rewards]} nonincreasing={monotone}")
     return 0 if monotone else 1
-
-
-def emit_plotdata(records: list[RunRecord], out_path: Path, figure_id: str = "reward_vs_epoch") -> None:
-    """Tidy long-format CSV: figure_id, series, x, y."""
-    if not records:
-        raise ValueError("no records to export")
-    rows = []
-    for rec in records:
-        per_epoch: dict[int, list[float]] = {}
-        for row in rec.metrics:
-            per_epoch.setdefault(row["epoch"], []).append(row["reward"])
-        for epoch in sorted(per_epoch):
-            rows.append([figure_id, rec.label, epoch, float(np.mean(per_epoch[epoch]))])
-    _write_csv(out_path, ["figure_id", "series", "x", "y"], rows)

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mlp", "GradTape", "AdamState", "adam_step", "save_weights", "load_weights"]
+__all__ = ["Mlp", "GradTape", "AdamState", "adam_step"]
 
 _ACTIVATIONS = ("relu", "tanh", "identity")
-
-CHECKPOINT_VERSION = 1
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
@@ -158,29 +156,3 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     m_hat = m / (1 - b1**state.t)
     v_hat = v / (1 - b2**state.t)
     params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-def save_weights(path, net: Mlp) -> None:
-    """Versioned binary checkpoint (npz with layer dims header)."""
-    payload = {
-        "version": np.array(CHECKPOINT_VERSION),
-        "widths": np.array(net.widths),
-        "activations": np.array(net.activations),
-    }
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        payload[f"w{i}"] = w
-        payload[f"b{i}"] = b
-    np.savez(path, **payload)
-
-
-def load_weights(path) -> Mlp:
-    with np.load(path, allow_pickle=False) as data:
-        if int(data["version"]) != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {int(data['version'])}")
-        widths = [int(x) for x in data["widths"]]
-        activations = [str(x) for x in data["activations"]]
-        net = Mlp(widths, activations)
-        for i in range(len(net.weights)):
-            net.weights[i][...] = data[f"w{i}"]
-            net.biases[i][...] = data[f"b{i}"]
-    return net

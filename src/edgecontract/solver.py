@@ -5,6 +5,11 @@ completes each candidate with the minimal feasible rewards, scores by the
 prospect-theory expected utility, and optionally refines the winner with a
 derivative-free pattern search.  Minimal rewards are optimal because the
 objective is nonincreasing in every reward entry.
+
+:func:`solve_grid` completes and scores the candidates in fixed-size chunks
+of array passes (:func:`feasibility.minimal_rewards`,
+:func:`econ.pt_objective`); :func:`refine_local` completes one probe at a
+time through the batch-of-one wrappers.
 """
 
 from __future__ import annotations
@@ -21,15 +26,22 @@ from .econ import (
     SensitivityParams,
     TypeGrid,
     pt_expected,
+    pt_objective,
 )
 from .feasibility import (
     InfeasibleMenuError,
     check_monotone,
     minimal_reward_oracle,
+    minimal_rewards,
     optimal_rewards,  # noqa: F401  unused; perfbench's tracer wraps solver.optimal_rewards
 )
 
 __all__ = ["SearchSpec", "SolveResult", "solve_grid", "refine_local", "monotone_grids"]
+
+# candidates per array pass of solve_grid; bounds the memory of a pass: the
+# relaxation's (MN, MN, CHUNK) float weight tensor stays within 0.5 MB up to
+# a 3 x 3 lattice
+CHUNK = 768
 
 
 @dataclass(frozen=True)
@@ -98,24 +110,6 @@ def monotone_grids(levels: np.ndarray, m: int, n: int):
     yield from rec(0)
 
 
-def _complete_and_score(
-    b_grid: np.ndarray,
-    f_grid: np.ndarray,
-    grid: TypeGrid,
-    ch: ChannelParams,
-    hmd: HMDParams,
-    sens: SensitivityParams,
-    pt: PTParams,
-) -> tuple[ContractMenu, float] | None:
-    # candidates with a positive IC cycle are not implementable and are skipped
-    try:
-        r = minimal_reward_oracle(b_grid, f_grid, grid)
-    except InfeasibleMenuError:
-        return None
-    menu = ContractMenu(b=b_grid, f=f_grid, r=r)
-    return menu, pt_expected(menu, grid, ch, hmd, sens, pt)
-
-
 def solve_grid(
     spec: SearchSpec,
     grid: TypeGrid,
@@ -124,27 +118,36 @@ def solve_grid(
     sens: SensitivityParams,
     pt: PTParams,
 ) -> SolveResult:
-    """Exhaustive search over monotone (b, f) grid assignments."""
+    """Exhaustive search over monotone (b, f) grid assignments.
+
+    Candidates run b-major, f-minor; the first one with the largest objective
+    wins.  Candidates with a positive IC cycle are not implementable and are
+    skipped, and a NaN objective never wins.
+    """
     b_levels = np.linspace(spec.b_range[0], spec.b_range[1], spec.grid_points)
     f_levels = np.linspace(spec.f_range[0], spec.f_range[1], spec.grid_points)
+    b_cands = np.array(list(monotone_grids(b_levels, grid.m, grid.n)))
+    f_cands = np.array(list(monotone_grids(f_levels, grid.m, grid.n)))
+    n_f = len(f_cands)
+    total = len(b_cands) * n_f
 
-    best_menu = None
-    best_obj = -np.inf
-    evals = 0
-    b_candidates = list(monotone_grids(b_levels, grid.m, grid.n))
-    f_candidates = list(monotone_grids(f_levels, grid.m, grid.n))
-    for b_grid in b_candidates:
-        for f_grid in f_candidates:
-            scored = _complete_and_score(b_grid, f_grid, grid, ch, hmd, sens, pt)
-            evals += 1
-            if scored is None:
-                continue
-            menu, obj = scored
-            if obj > best_obj:
-                best_obj = obj
-                best_menu = menu
-    assert best_menu is not None, "monotone candidate set cannot be empty"
-    return SolveResult(menu=best_menu, objective=best_obj, feasible=True, evaluations=evals)
+    best_k, best_obj, best_r = -1, -np.inf, None
+    for start in range(0, total, CHUNK):
+        k = np.arange(start, min(start + CHUNK, total))
+        b, f = b_cands[k // n_f], f_cands[k % n_f]
+        r, feasible = minimal_rewards(b, f, grid)
+        obj = np.full(k.size, -np.inf)
+        obj[feasible] = pt_objective(
+            b[feasible], f[feasible], r[feasible], grid, ch, hmd, sens, pt
+        )
+        obj[np.isnan(obj)] = -np.inf  # np.argmax would pick a NaN
+        i = int(np.argmax(obj))
+        if obj[i] > best_obj:
+            best_k, best_obj, best_r = start + i, float(obj[i]), r[i]
+    if best_k < 0:
+        raise FloatingPointError("no monotone candidate has a comparable PT objective")
+    menu = ContractMenu(b=b_cands[best_k // n_f], f=f_cands[best_k % n_f], r=best_r)
+    return SolveResult(menu=menu, objective=best_obj, feasible=True, evaluations=total)
 
 
 def refine_local(
@@ -181,10 +184,14 @@ def refine_local(
         # minimal_reward_oracle does not check monotonicity itself
         if check_monotone(ContractMenu(b=b_new, f=f_new, r=np.zeros_like(b_new))):
             return None
-        scored = _complete_and_score(b_new.copy(), f_new.copy(), grid, ch, hmd, sens, pt)
-        if scored is not None:
-            evals += 1
-        return scored
+        # probes with a positive IC cycle are not implementable and are skipped
+        try:
+            r = minimal_reward_oracle(b_new, f_new, grid)
+        except InfeasibleMenuError:
+            return None
+        evals += 1
+        menu = ContractMenu(b=b_new.copy(), f=f_new.copy(), r=r)
+        return menu, pt_expected(menu, grid, ch, hmd, sens, pt)
 
     best_menu = result.menu
     for _ in range(spec.refine_iters):

@@ -221,6 +221,32 @@ def test_oracle_shape_validation(rng):
     grid = make_grid(rng)
     with pytest.raises(ValueError):
         fz.minimal_reward_oracle(np.zeros((3, 2)), np.zeros((2, 2)), grid)
+    with pytest.raises(ValueError):
+        fz.minimal_rewards(np.zeros((2, 2)), np.zeros((2, 2)), grid)
+    with pytest.raises(ValueError):
+        fz.minimal_rewards(np.zeros((4, 2, 2)), np.zeros((5, 2, 2)), grid)
+
+
+def test_batched_oracle_matches_scalar_wrapper(rng):
+    # every row of a mixed batch gets the rewards and the verdict it gets alone
+    verdicts = set()
+    for shape in LATTICES:
+        for _ in range(5):
+            grid = make_grid(rng, *shape)
+            pairs = [monotone_bf(rng, *shape) for _ in range(60)]
+            b = np.array([bf[0] for bf in pairs])
+            f = np.array([bf[1] for bf in pairs])
+            r, feasible = fz.minimal_rewards(b, f, grid)
+            assert r.shape == b.shape and feasible.shape == (60,)
+            for i in range(60):
+                verdicts.add(bool(feasible[i]))
+                if feasible[i]:
+                    assert np.array_equal(r[i], fz.minimal_reward_oracle(b[i], f[i], grid))
+                    assert fz.check_full(_menu(b[i], f[i], r[i]), grid).feasible
+                else:
+                    with pytest.raises(fz.InfeasibleMenuError):
+                        fz.minimal_reward_oracle(b[i], f[i], grid)
+    assert verdicts == {True, False}
 
 
 # -- recurrence vs oracle ---------------------------------------------------

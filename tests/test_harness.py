@@ -7,7 +7,7 @@ import pytest
 
 from edgecontract import cli, harness
 from edgecontract.econ import ContractMenu
-from edgecontract.harness import RunRecord, emit_plotdata
+from edgecontract.harness import RunRecord
 from edgecontract.scenario import (
     ExperimentConfig,
     canonical_serialization,
@@ -175,25 +175,6 @@ def test_menu_csv_roundtrip(tmp_path, rng):
     assert np.array_equal(loaded.b, menu.b)
     assert np.array_equal(loaded.f, menu.f)
     assert np.array_equal(loaded.r, menu.r)
-
-
-def test_emit_plotdata_rejects_empty(tmp_path):
-    with pytest.raises(ValueError):
-        emit_plotdata([], tmp_path / "plot.csv")
-
-
-def test_emit_plotdata_row_count(tmp_path):
-    metrics = [
-        {"epoch": e, "step": s, "reward": float(e + s)} for e in range(3) for s in range(2)
-    ]
-    rec = RunRecord(config_hash="x", seed=0, label="run", metrics=metrics, menu=None, wall_clock=0.0)
-    out = tmp_path / "plot.csv"
-    emit_plotdata([rec, rec], out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "figure_id,series,x,y"
-    assert len(lines) == 1 + 2 * 3  # header + epochs per record
-    # per-epoch mean of rewards {e, e+1} is e + 0.5
-    assert lines[1].endswith(",0,0.5")
 
 
 def test_final_mean_reward_window():

@@ -1,15 +1,9 @@
-"""MLP apply/grads correctness, parameter layout, optimizer behavior, checkpoints."""
+"""MLP apply/grads correctness, parameter layout, optimizer behavior."""
 
 import numpy as np
 import pytest
 
-from edgecontract.nn import (
-    AdamState,
-    Mlp,
-    adam_step,
-    load_weights,
-    save_weights,
-)
+from edgecontract.nn import AdamState, Mlp, adam_step
 
 
 def _reference_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
@@ -165,7 +159,7 @@ def test_adam_first_step_scalar_hand_computation():
     assert p[0] == pytest.approx(expect, rel=1e-9)
 
 
-# -- parameter plumbing and checkpoints -------------------------------------
+# -- parameter plumbing ----------------------------------------------------------
 
 def test_clone_is_deep():
     rng = np.random.default_rng(2)
@@ -186,25 +180,3 @@ def test_params_layout_views_and_grad_shape():
     other = net.clone()
     assert not np.shares_memory(other.params, net.params)
     assert np.array_equal(other.params, net.params)
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    net = Mlp([4, 6, 3], ["tanh", "identity"], rng)
-    path = tmp_path / "net.npz"
-    save_weights(path, net)
-    loaded = load_weights(path)
-    x = rng.standard_normal(4)
-    assert np.array_equal(net.apply(x)[0], loaded.apply(x)[0])
-    assert loaded.widths == net.widths and loaded.activations == net.activations
-
-
-def test_checkpoint_version_rejected(tmp_path):
-    net = Mlp([2, 2], ["identity"])
-    path = tmp_path / "net.npz"
-    save_weights(path, net)
-    data = dict(np.load(path, allow_pickle=False))
-    data["version"] = np.array(99)
-    np.savez(path, **data)
-    with pytest.raises(ValueError):
-        load_weights(path)

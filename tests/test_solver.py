@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from edgecontract import econ, solver
 from edgecontract import feasibility as fz
-from edgecontract import solver
 from edgecontract.econ import (
     ChannelParams,
     ContractMenu,
@@ -16,6 +16,7 @@ from edgecontract.econ import (
     TypeGrid,
     pt_expected,
 )
+from edgecontract.scenario import ExperimentConfig, sample_scenario
 from edgecontract.solver import SearchSpec, monotone_grids, refine_local, solve_grid
 
 from conftest import make_grid, simple_channel, simple_hmd, simple_sens
@@ -68,6 +69,98 @@ def test_solve_grid_matches_independent_enumeration(rng):
             obj = pt_expected(ContractMenu(b=b, f=f, r=r), grid, ch, hmd, sens, pt)
             best = max(best, obj)
     assert result.objective == pytest.approx(best, rel=1e-6)
+
+
+def _per_candidate_solve(spec, grid, ch, hmd, sens, pt):
+    """The search one candidate at a time: complete with the scalar oracle,
+    score with pt_expected, first strict improvement wins."""
+    b_levels = np.linspace(spec.b_range[0], spec.b_range[1], spec.grid_points)
+    f_levels = np.linspace(spec.f_range[0], spec.f_range[1], spec.grid_points)
+    best_menu, best_obj, evals = None, -np.inf, 0
+    for b in monotone_grids(b_levels, grid.m, grid.n):
+        for f in monotone_grids(f_levels, grid.m, grid.n):
+            evals += 1
+            try:
+                r = fz.minimal_reward_oracle(b, f, grid)
+            except fz.InfeasibleMenuError:
+                continue
+            menu = ContractMenu(b=b, f=f, r=r)
+            obj = pt_expected(menu, grid, ch, hmd, sens, pt)
+            if obj > best_obj:
+                best_menu, best_obj = menu, obj
+    return best_menu, best_obj, evals
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=lambda s: "%dx%d" % s)
+def test_solve_grid_equals_per_candidate_loop(rng, monkeypatch, shape):
+    m, n = shape
+    grid = make_grid(rng, m, n)
+    ch = simple_channel(d=rng.uniform(10.0, 80.0, shape))
+    hmd = simple_hmd(s_eff=rng.uniform(1.5, 3.0, shape), mu=rng.uniform(0.2, 1.0, shape))
+    sens = simple_sens()
+    pt = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=2.25, u_ref=10.0,
+                  weight_coeff=0.7, use_weighting=True)
+    spec = SearchSpec(grid_points=3)
+    menu, obj, evals = _per_candidate_solve(spec, grid, ch, hmd, sens, pt)
+    # the module's chunk, then a small prime, so that the maximum falls at
+    # some inner offset of a chunk and chunks end mid-way through an f sweep
+    for chunk in (solver.CHUNK, 13):
+        monkeypatch.setattr(solver, "CHUNK", chunk)
+        result = solve_grid(spec, grid, ch, hmd, sens, pt)
+        assert result.objective == obj
+        assert result.evaluations == evals
+        for field in ("b", "f", "r"):
+            assert np.array_equal(getattr(result.menu, field), getattr(menu, field)), field
+
+
+def test_solve_grid_breaks_ties_toward_first_candidate(rng, monkeypatch):
+    # objectives rounded to one decimal tie across many candidates and
+    # chunks; pt_expected looks pt_objective up in econ, so the per-candidate
+    # loop scores with the same rounding
+    grid = make_grid(rng, 2, 3)
+    args = (grid, simple_channel(), simple_hmd(), simple_sens(), _pt())
+    spec = SearchSpec(grid_points=3)
+    real = econ.pt_objective
+    monkeypatch.setattr(econ, "pt_objective", lambda *a: np.round(real(*a), 1))
+    monkeypatch.setattr(solver, "pt_objective", econ.pt_objective)
+    monkeypatch.setattr(solver, "CHUNK", 13)
+    menu, obj, _ = _per_candidate_solve(spec, *args)
+    result = solve_grid(spec, *args)
+    assert result.objective == obj
+    for field in ("b", "f", "r"):
+        assert np.array_equal(getattr(result.menu, field), getattr(menu, field)), field
+
+
+def test_solve_grid_objective_grows_with_nested_levels():
+    # linspace levels at 3 points are a subset of those at 5 points, so the
+    # finer search sees every coarser candidate, completed and scored alike
+    cfg = ExperimentConfig()
+    for i in range(6):
+        sc = sample_scenario(cfg, np.random.default_rng((17, i)))
+        args = (sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
+        coarse = solve_grid(SearchSpec(grid_points=3), *args)
+        fine = solve_grid(SearchSpec(grid_points=5), *args)
+        assert fine.objective >= coarse.objective
+
+
+def test_solve_grid_never_picks_nan_objective(rng, monkeypatch):
+    grid = make_grid(rng)
+    args = (grid, simple_channel(), simple_hmd(), simple_sens(), _pt())
+    spec = SearchSpec(grid_points=3)
+    _, best, _ = _per_candidate_solve(spec, *args)
+    real = solver.pt_objective
+
+    def nan_at_best(*a):
+        obj = real(*a)
+        return np.where(obj == best, np.nan, obj)
+
+    monkeypatch.setattr(solver, "pt_objective", nan_at_best)
+    result = solve_grid(spec, *args)
+    assert np.isfinite(result.objective) and result.objective < best
+
+    monkeypatch.setattr(solver, "pt_objective", lambda *a: np.full(len(a[0]), np.nan))
+    with pytest.raises(FloatingPointError):
+        solve_grid(spec, *args)
 
 
 def test_solve_grid_output_is_feasible_and_monotone(rng):
