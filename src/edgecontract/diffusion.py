@@ -536,52 +536,22 @@ def baseline_greedy(sc: Scenario, bounds: ActionBounds, points: int = 33) -> tup
     """Per-type independent maximization, IR-priced, IC ignored.
 
     For each type pair picks (b, f) maximizing alpha*immersion - beta*latency
-    - R with R set to that type's participation bound.
+    - R with R set to that type's participation bound; the first best level
+    pair in b-major order wins a tie.
     """
     from .econ import immersion, latency
 
     g = sc.grid
     b_levels = np.linspace(bounds.b_min, bounds.b_max, points)
     f_levels = np.linspace(bounds.f_min, bounds.f_max, points)
-    b_out = np.zeros((g.m, g.n))
-    f_out = np.zeros((g.m, g.n))
-    r_out = np.zeros((g.m, g.n))
-    for m in range(g.m):
-        for n in range(g.n):
-            ch_mn = _cell_channel(sc.ch, m, n)
-            hmd_mn = _cell_hmd(sc.hmd, m, n)
-            bb, ff = np.meshgrid(b_levels, f_levels, indexing="ij")
-            imm = np.asarray(immersion(bb, ff, ch_mn, hmd_mn))
-            lat = np.asarray(latency(bb, ch_mn))
-            r_ir = bb**2 / g.theta[m] + ff**2 / g.sigma[n]
-            score = sc.sens.alpha_imm * imm - sc.sens.beta_lat * lat - r_ir
-            i, j = np.unravel_index(np.argmax(score), score.shape)
-            b_out[m, n] = bb[i, j]
-            f_out[m, n] = ff[i, j]
-            r_out[m, n] = min(r_ir[i, j], bounds.r_max)
-    menu = ContractMenu(b=b_out, f=f_out, r=r_out)
+    # every level pair on axis 0, b-major, against every type pair
+    bb, ff = np.meshgrid(b_levels, f_levels, indexing="ij")
+    bb, ff = bb.reshape(-1, 1, 1), ff.reshape(-1, 1, 1)
+    imm = immersion(bb, ff, sc.ch, sc.hmd)
+    lat = latency(bb, sc.ch)
+    r_ir = bb**2 / g.theta[:, None] + ff**2 / g.sigma
+    score = sc.sens.alpha_imm * imm - sc.sens.beta_lat * lat - r_ir
+    k = np.argmax(score, axis=0)  # (M, N) level-pair index per type pair
+    r = np.take_along_axis(r_ir, k[None], axis=0)[0]
+    menu = ContractMenu(b=bb[k, 0, 0], f=ff[k, 0, 0], r=np.minimum(r, bounds.r_max))
     return menu, reward_fn(menu, g, sc.ch, sc.hmd, sc.sens, sc.pt)
-
-
-def _cell_channel(ch: ChannelParams, m: int, n: int) -> ChannelParams:
-    def pick(x):
-        x = np.asarray(x, dtype=float)
-        return float(x[m, n]) if x.ndim == 2 else float(x)
-
-    return ChannelParams(p=pick(ch.p), g2=pick(ch.g2), n0=ch.n0, c=ch.c, d=pick(ch.d))
-
-
-def _cell_hmd(hmd: HMDParams, m: int, n: int) -> HMDParams:
-    def pick(x):
-        x = np.asarray(x, dtype=float)
-        return float(x[m, n]) if x.ndim == 2 else float(x)
-
-    return HMDParams(
-        resolution=hmd.resolution,
-        framerate=hmd.framerate,
-        s_eff=pick(hmd.s_eff),
-        t_th=hmd.t_th,
-        zeta1=hmd.zeta1,
-        zeta2=hmd.zeta2,
-        mu=pick(hmd.mu),
-    )

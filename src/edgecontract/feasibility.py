@@ -43,6 +43,7 @@ __all__ = [
     "ic_slack",
     "check_ir",
     "check_ic_full",
+    "monotone_violations",
     "check_monotone",
     "check_full",
     "check_reduced",
@@ -154,7 +155,9 @@ def check_ic_full(menu: ContractMenu, grid: TypeGrid) -> list[tuple[int, int, in
     return _ic_violations(slack, slack < -SLACK_TOL)
 
 
-def _monotone_violations_one(x: np.ndarray, name: str) -> list[tuple]:
+def monotone_violations(x: np.ndarray, name: str) -> list[tuple]:
+    """Check x_{i,j} <= max(x_{i,n}, x_{m,j}) <= x_{m,n} for m > i, n > j on
+    one (M, N) resource grid; violations are labelled ``name``."""
     out = []
     m_dim, n_dim = x.shape
     for m in range(m_dim):
@@ -170,8 +173,8 @@ def _monotone_violations_one(x: np.ndarray, name: str) -> list[tuple]:
 
 
 def check_monotone(menu: ContractMenu) -> list[tuple]:
-    """Check b_{i,j} <= max(b_{i,n}, b_{m,j}) <= b_{m,n} for m > i, n > j (and f)."""
-    return _monotone_violations_one(menu.b, "b") + _monotone_violations_one(menu.f, "f")
+    """:func:`monotone_violations` of the menu's b and f grids."""
+    return monotone_violations(menu.b, "b") + monotone_violations(menu.f, "f")
 
 
 def check_full(menu: ContractMenu, grid: TypeGrid) -> FeasibilityReport:

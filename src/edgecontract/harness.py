@@ -37,6 +37,12 @@ __all__ = [
 U_REF_SWEEP = (5.0, 10.0, 15.0, 20.0)
 KAPPA_SWEEP = (0.5, 1.0, 1.5, 2.0)
 
+# columns of the per-step training logs train and sweep write
+LOG_COLUMNS = [
+    "epoch", "step", "reward", "u_pt", "ic_slack_sum", "ir_slack_min",
+    "critic_loss", "actor_loss",
+]
+
 # sub-stream tags keeping evaluation and baseline draws off the training streams
 _EVAL_TAG = 101
 _BASELINE_TAG = 102
@@ -46,7 +52,6 @@ _BASELINE_TAG = 102
 class RunRecord:
     config_hash: str
     seed: int
-    label: str
     metrics: list[dict]
     menu: ContractMenu | None
     wall_clock: float
@@ -123,7 +128,7 @@ def build_agent(cfg: ExperimentConfig) -> GdmAgent:
     )
 
 
-def run_training(cfg: ExperimentConfig, label: str = "gdm") -> tuple[RunRecord, GdmAgent, Scenario]:
+def run_training(cfg: ExperimentConfig) -> tuple[RunRecord, GdmAgent, Scenario]:
     agent = build_agent(cfg)
     env = ContractEnv(
         scenario_fn=lambda r: sample_scenario(cfg, r),
@@ -139,7 +144,6 @@ def run_training(cfg: ExperimentConfig, label: str = "gdm") -> tuple[RunRecord, 
     record = RunRecord(
         config_hash=config_hash(cfg),
         seed=cfg.seed,
-        label=label,
         metrics=log,
         menu=generate(sc, agent, np.random.default_rng((cfg.seed, _EVAL_TAG))) if sc else None,
         wall_clock=elapsed,
@@ -152,14 +156,10 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
     out = Path(out_dir or cfg.out_dir)
     record, agent, sc = run_training(cfg)
 
-    header = [
-        "epoch", "step", "reward", "u_pt", "ic_slack_sum", "ir_slack_min",
-        "critic_loss", "actor_loss",
-    ]
     _write_csv(
         out / "train_log.csv",
-        header,
-        [[row[h] for h in header] for row in record.metrics],
+        LOG_COLUMNS,
+        [[row[h] for h in LOG_COLUMNS] for row in record.metrics],
     )
     if record.menu is not None:
         _write_csv(out / "train_menu.csv", ["m", "n", "b", "f", "r"], _menu_rows(record.menu))
@@ -304,16 +304,12 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path | None = None, which: str = "
     for name, value in settings:
         sub = replace(cfg)  # shallow copy; pt replaced below
         sub.pt = replace(cfg.pt, **{name: value})
-        record, _, sc = run_training(sub, label=f"{name}={value}")
+        record, _, sc = run_training(sub)
         records.append((value, record, sc))
-        header = [
-            "epoch", "step", "reward", "u_pt", "ic_slack_sum", "ir_slack_min",
-            "critic_loss", "actor_loss",
-        ]
         _write_csv(
             out / f"sweep_{name}_{value}.csv",
-            header,
-            [[row[h] for h in header] for row in record.metrics],
+            LOG_COLUMNS,
+            [[row[h] for h in LOG_COLUMNS] for row in record.metrics],
         )
 
     finals = [(v, rec.final_mean_reward()) for v, rec, _ in records]

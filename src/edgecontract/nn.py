@@ -82,10 +82,6 @@ class Mlp:
     def in_dim(self) -> int:
         return self.widths[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.widths[-1]
-
     def apply(self, x: np.ndarray) -> tuple[np.ndarray, GradTape]:
         """Forward pass returning the output and an explicit gradient tape."""
         x = np.asarray(x, dtype=float)

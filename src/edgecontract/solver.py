@@ -6,15 +6,16 @@ prospect-theory expected utility, and optionally refines the winner with a
 derivative-free pattern search.  Minimal rewards are optimal because the
 objective is nonincreasing in every reward entry.
 
-:func:`solve_grid` completes and scores the candidates in fixed-size chunks
-of array passes (:func:`feasibility.minimal_rewards`,
-:func:`econ.pt_objective`); :func:`refine_local` completes one probe at a
-time through the batch-of-one wrappers.
+Both searches complete and score through one batched route,
+:func:`feasibility.minimal_rewards` then :func:`econ.pt_objective` on the
+feasible rows: :func:`solve_grid` passes fixed-size chunks of candidates,
+:func:`refine_local` one probe at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,16 +26,13 @@ from .econ import (
     PTParams,
     SensitivityParams,
     TypeGrid,
-    pt_expected,
     pt_objective,
 )
-from .feasibility import (
-    InfeasibleMenuError,
-    check_monotone,
-    minimal_reward_oracle,
-    minimal_rewards,
-    optimal_rewards,  # noqa: F401  unused; perfbench's tracer wraps solver.optimal_rewards
-)
+from .feasibility import minimal_rewards, monotone_violations
+
+# unused here; perfbench's tracer wraps these names in solver's namespace
+from .econ import pt_expected  # noqa: F401
+from .feasibility import minimal_reward_oracle, optimal_rewards  # noqa: F401
 
 __all__ = ["SearchSpec", "SolveResult", "solve_grid", "refine_local", "monotone_grids"]
 
@@ -66,48 +64,40 @@ class SearchSpec:
 class SolveResult:
     menu: ContractMenu
     objective: float
-    feasible: bool
     evaluations: int
 
-    def csv_rows(self, grid: TypeGrid, ch, hmd, sens) -> list[str]:
-        """One row per type pair plus a summary row."""
-        from .econ import utility_matrix
-        from .feasibility import own_utilities
 
-        v = own_utilities(self.menu, grid)
-        u = utility_matrix(self.menu, grid, ch, hmd, sens)
-        rows = ["m,n,b,f,r,v,u"]
-        for m in range(grid.m):
-            for n in range(grid.n):
-                rows.append(
-                    f"{m},{n},{self.menu.b[m, n]!r},{self.menu.f[m, n]!r},"
-                    f"{self.menu.r[m, n]!r},{v[m, n]!r},{u[m, n]!r}"
-                )
-        rows.append(f"objective,,,,,{self.objective!r},{self.evaluations}")
-        return rows
-
-
-def monotone_grids(levels: np.ndarray, m: int, n: int):
-    """Yield all (m, n) matrices with entries from ``levels`` that are
-    nondecreasing along both axes (row-major backtracking)."""
+def monotone_grids(levels: np.ndarray, m: int, n: int) -> np.ndarray:
+    """All (m, n) matrices with entries from ``levels`` that are
+    nondecreasing along both axes, as a (K, m, n) array in lexicographic
+    row-major order of the level indices."""
     levels = np.asarray(levels, dtype=float)
-    grid = np.empty((m, n))
-
-    def rec(idx: int):
-        if idx == m * n:
-            yield grid.copy()
-            return
+    grids = np.empty((1, 0))  # every prefix of the row-major cells filled so far
+    for idx in range(m * n):
         i, j = divmod(idx, n)
-        lo = max(
-            grid[i - 1, j] if i > 0 else -np.inf,
-            grid[i, j - 1] if j > 0 else -np.inf,
-        )
-        for val in levels:
-            if val >= lo:
-                grid[i, j] = val
-                yield from rec(idx + 1)
+        lo = np.full(len(grids), -np.inf)
+        if i > 0:
+            lo = np.maximum(lo, grids[:, idx - n])
+        if j > 0:
+            lo = np.maximum(lo, grids[:, idx - 1])
+        # nonzero runs prefix-major, level-minor, which keeps the order
+        prefix, level = np.nonzero(levels >= lo[:, None])
+        grids = np.column_stack([grids[prefix], levels[level]])
+    return grids.reshape(-1, m, n)
 
-    yield from rec(0)
+
+def _complete_and_score(b, f, grid, ch, hmd, sens, pt):
+    """Minimal rewards and PT objectives of a (C, M, N) batch of (b, f) grids.
+
+    Returns ``(r, feasible, obj)``.  Only feasible rows are scored; an
+    infeasible row (positive IC cycle, not implementable) or a NaN objective
+    scores -inf, so it never wins a comparison.
+    """
+    r, feasible = minimal_rewards(b, f, grid)
+    obj = np.full(len(b), -np.inf)
+    obj[feasible] = pt_objective(b[feasible], f[feasible], r[feasible], grid, ch, hmd, sens, pt)
+    obj[np.isnan(obj)] = -np.inf  # np.argmax would pick a NaN
+    return r, feasible, obj
 
 
 def solve_grid(
@@ -126,28 +116,24 @@ def solve_grid(
     """
     b_levels = np.linspace(spec.b_range[0], spec.b_range[1], spec.grid_points)
     f_levels = np.linspace(spec.f_range[0], spec.f_range[1], spec.grid_points)
-    b_cands = np.array(list(monotone_grids(b_levels, grid.m, grid.n)))
-    f_cands = np.array(list(monotone_grids(f_levels, grid.m, grid.n)))
+    b_cands = monotone_grids(b_levels, grid.m, grid.n)
+    f_cands = monotone_grids(f_levels, grid.m, grid.n)
     n_f = len(f_cands)
     total = len(b_cands) * n_f
 
     best_k, best_obj, best_r = -1, -np.inf, None
     for start in range(0, total, CHUNK):
         k = np.arange(start, min(start + CHUNK, total))
-        b, f = b_cands[k // n_f], f_cands[k % n_f]
-        r, feasible = minimal_rewards(b, f, grid)
-        obj = np.full(k.size, -np.inf)
-        obj[feasible] = pt_objective(
-            b[feasible], f[feasible], r[feasible], grid, ch, hmd, sens, pt
+        r, _, obj = _complete_and_score(
+            b_cands[k // n_f], f_cands[k % n_f], grid, ch, hmd, sens, pt
         )
-        obj[np.isnan(obj)] = -np.inf  # np.argmax would pick a NaN
         i = int(np.argmax(obj))
         if obj[i] > best_obj:
             best_k, best_obj, best_r = start + i, float(obj[i]), r[i]
     if best_k < 0:
         raise FloatingPointError("no monotone candidate has a comparable PT objective")
     menu = ContractMenu(b=b_cands[best_k // n_f], f=f_cands[best_k % n_f], r=best_r)
-    return SolveResult(menu=menu, objective=best_obj, feasible=True, evaluations=total)
+    return SolveResult(menu=menu, objective=best_obj, evaluations=total)
 
 
 def refine_local(
@@ -165,58 +151,38 @@ def refine_local(
     the objective while preserving monotonicity and the search box, and
     halves the step until convergence (1e-6 relative) or the iteration cap.
     """
-    if not result.feasible:
-        raise ValueError("refinement requires a feasible starting point")
-
-    b = result.menu.b.copy()
-    f = result.menu.f.copy()
-    best_obj = result.objective
+    # b and f stacked on axis 0, with their box and step per axis
+    x = np.stack([result.menu.b, result.menu.f])
+    lo = np.array([spec.b_range[0], spec.f_range[0]])[:, None, None]
+    hi = np.array([spec.b_range[1], spec.f_range[1]])[:, None, None]
+    step = (hi - lo).ravel() / max(spec.grid_points - 1, 1)
+    min_step = 1e-6 * np.max(hi - lo)
+    best_obj, best_r = result.objective, result.menu.r
     evals = result.evaluations
-    step_b = (spec.b_range[1] - spec.b_range[0]) / max(spec.grid_points - 1, 1)
-    step_f = (spec.f_range[1] - spec.f_range[0]) / max(spec.grid_points - 1, 1)
 
-    def try_move(b_new, f_new):
-        nonlocal evals
-        if np.any(b_new < spec.b_range[0]) or np.any(b_new > spec.b_range[1]):
-            return None
-        if np.any(f_new < spec.f_range[0]) or np.any(f_new > spec.f_range[1]):
-            return None
-        # minimal_reward_oracle does not check monotonicity itself
-        if check_monotone(ContractMenu(b=b_new, f=f_new, r=np.zeros_like(b_new))):
-            return None
-        # probes with a positive IC cycle are not implementable and are skipped
-        try:
-            r = minimal_reward_oracle(b_new, f_new, grid)
-        except InfeasibleMenuError:
-            return None
-        evals += 1
-        menu = ContractMenu(b=b_new.copy(), f=f_new.copy(), r=r)
-        return menu, pt_expected(menu, grid, ch, hmd, sens, pt)
-
-    best_menu = result.menu
     for _ in range(spec.refine_iters):
         improved = False
-        for arr, step in ((b, step_b), (f, step_f)):
-            for m in range(grid.m):
-                for n in range(grid.n):
-                    for sgn in (+1.0, -1.0):
-                        trial = arr.copy()
-                        trial[m, n] += sgn * step
-                        cand = (
-                            try_move(trial, f) if arr is b else try_move(b, trial)
-                        )
-                        if cand is not None and cand[1] > best_obj:
-                            best_menu, best_obj = cand
-                            arr[m, n] = trial[m, n]
-                            improved = True
+        for axis, m, n, sgn in itertools.product(
+            range(2), range(grid.m), range(grid.n), (+1.0, -1.0)
+        ):
+            trial = x.copy()
+            trial[axis, m, n] += sgn * step[axis]
+            if np.any(trial < lo) or np.any(trial > hi):
+                continue
+            # minimal_rewards does not check monotonicity itself
+            if monotone_violations(trial[0], "b") or monotone_violations(trial[1], "f"):
+                continue
+            r, feasible, obj = _complete_and_score(
+                trial[:1], trial[1:], grid, ch, hmd, sens, pt
+            )
+            evals += int(feasible[0])
+            if obj[0] > best_obj:
+                x, best_obj, best_r = trial, float(obj[0]), r[0]
+                improved = True
         if not improved:
-            step_b *= 0.5
-            step_f *= 0.5
-            if max(step_b, step_f) < 1e-6 * max(
-                spec.b_range[1] - spec.b_range[0], spec.f_range[1] - spec.f_range[0]
-            ):
+            step *= 0.5
+            if np.max(step) < min_step:
                 break
 
-    return SolveResult(
-        menu=best_menu, objective=best_obj, feasible=True, evaluations=evals
-    )
+    menu = ContractMenu(b=x[0], f=x[1], r=best_r)
+    return SolveResult(menu=menu, objective=best_obj, evaluations=evals)

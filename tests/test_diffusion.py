@@ -347,3 +347,60 @@ def test_baseline_greedy_deterministic(rng):
     m1, r1 = df.baseline_greedy(sc, df.ActionBounds())
     m2, r2 = df.baseline_greedy(sc, df.ActionBounds())
     assert np.array_equal(m1.b, m2.b) and np.array_equal(m1.f, m2.f) and r1 == r2
+
+
+def _per_cell_greedy(sc, bounds, points=33):
+    """The greedy baseline one type pair at a time, on scalar per-cell
+    channel and HMD parameters; the reference for the broadcast version."""
+    from edgecontract.econ import ChannelParams, HMDParams, immersion, latency
+
+    def pick(x, m, n):
+        x = np.asarray(x, dtype=float)
+        return float(x[m, n]) if x.ndim == 2 else float(x)
+
+    g = sc.grid
+    b_levels = np.linspace(bounds.b_min, bounds.b_max, points)
+    f_levels = np.linspace(bounds.f_min, bounds.f_max, points)
+    b_out, f_out, r_out = np.zeros((g.m, g.n)), np.zeros((g.m, g.n)), np.zeros((g.m, g.n))
+    for m in range(g.m):
+        for n in range(g.n):
+            ch = ChannelParams(p=pick(sc.ch.p, m, n), g2=pick(sc.ch.g2, m, n),
+                               n0=sc.ch.n0, c=sc.ch.c, d=pick(sc.ch.d, m, n))
+            hmd = HMDParams(resolution=sc.hmd.resolution, framerate=sc.hmd.framerate,
+                            s_eff=pick(sc.hmd.s_eff, m, n), t_th=sc.hmd.t_th,
+                            zeta1=sc.hmd.zeta1, zeta2=sc.hmd.zeta2, mu=pick(sc.hmd.mu, m, n))
+            bb, ff = np.meshgrid(b_levels, f_levels, indexing="ij")
+            imm = np.asarray(immersion(bb, ff, ch, hmd))
+            lat = np.asarray(latency(bb, ch))
+            r_ir = bb**2 / g.theta[m] + ff**2 / g.sigma[n]
+            score = sc.sens.alpha_imm * imm - sc.sens.beta_lat * lat - r_ir
+            i, j = np.unravel_index(np.argmax(score), score.shape)
+            b_out[m, n], f_out[m, n] = bb[i, j], ff[i, j]
+            r_out[m, n] = min(r_ir[i, j], bounds.r_max)
+    menu = ContractMenu(b=b_out, f=f_out, r=r_out)
+    return menu, df.reward_fn(menu, g, sc.ch, sc.hmd, sc.sens, sc.pt)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)], ids=lambda s: "%dx%d" % s)
+def test_baseline_greedy_equals_per_cell_loop(rng, shape):
+    from edgecontract.scenario import ExperimentConfig, sample_scenario
+
+    bounds = df.ActionBounds()
+    scenarios = [_scenario(rng, *shape)]
+    for _ in range(10):
+        scenarios.append(df.Scenario(
+            grid=make_grid(rng, *shape),
+            ch=simple_channel(d=rng.uniform(10.0, 80.0, shape)),
+            hmd=simple_hmd(s_eff=rng.uniform(1.5, 3.0, shape), mu=rng.uniform(0.2, 1.0, shape)),
+            sens=simple_sens(),
+            pt=neutral_pt(),
+        ))
+    if shape == (2, 2):
+        cfg = ExperimentConfig()
+        scenarios += [sample_scenario(cfg, np.random.default_rng((3, i))) for i in range(20)]
+    for sc in scenarios:
+        menu, reward = df.baseline_greedy(sc, bounds)
+        ref_menu, ref_reward = _per_cell_greedy(sc, bounds)
+        assert reward == ref_reward
+        for field in ("b", "f", "r"):
+            assert np.array_equal(getattr(menu, field), getattr(ref_menu, field)), field

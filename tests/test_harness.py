@@ -179,7 +179,7 @@ def test_menu_csv_roundtrip(tmp_path, rng):
 
 def test_final_mean_reward_window():
     metrics = [{"epoch": e, "step": 0, "reward": float(e)} for e in range(10)]
-    rec = RunRecord(config_hash="x", seed=0, label="run", metrics=metrics, menu=None, wall_clock=0.0)
+    rec = RunRecord(config_hash="x", seed=0, metrics=metrics, menu=None, wall_clock=0.0)
     assert rec.final_mean_reward(window=3) == pytest.approx((7 + 8 + 9) / 3)
     assert rec.final_mean_reward(window=100) == pytest.approx(4.5)
 
