@@ -12,7 +12,6 @@ Subpackages:
 
 from .econ import (
     ChannelParams,
-    ContractItem,
     ContractMenu,
     HMDParams,
     PTParams,
@@ -22,7 +21,6 @@ from .econ import (
 
 __all__ = [
     "TypeGrid",
-    "ContractItem",
     "ContractMenu",
     "ChannelParams",
     "HMDParams",

@@ -14,18 +14,14 @@ import numpy as np
 
 __all__ = [
     "TypeGrid",
-    "ContractItem",
     "ContractMenu",
     "ChannelParams",
     "HMDParams",
     "SensitivityParams",
     "PTParams",
-    "rsu_utility",
     "downlink_rate",
-    "rendering_gain",
     "immersion",
     "latency",
-    "av_type_utility",
     "utility_matrix",
     "eut_expected",
     "prob_weight",
@@ -89,19 +85,6 @@ class TypeGrid:
 
 
 @dataclass(frozen=True)
-class ContractItem:
-    """One menu entry: bandwidth ``b``, CPU frequency ``f``, reward ``r``."""
-
-    b: float
-    f: float
-    r: float
-
-    def __post_init__(self):
-        if self.b < 0 or self.f < 0 or self.r < 0:
-            raise ValueError("contract item fields must be nonnegative")
-
-
-@dataclass(frozen=True)
 class ContractMenu:
     """M x N grid of contract items, stored as three aligned arrays."""
 
@@ -122,9 +105,6 @@ class ContractMenu:
     @property
     def shape(self) -> tuple[int, int]:
         return self.b.shape
-
-    def item(self, m: int, n: int) -> ContractItem:
-        return ContractItem(float(self.b[m, n]), float(self.f[m, n]), float(self.r[m, n]))
 
     def check_dims(self, grid: TypeGrid) -> None:
         if self.shape != (grid.m, grid.n):
@@ -229,13 +209,6 @@ class PTParams:
             raise ValueError("weight_coeff must be positive")
 
 
-def rsu_utility(item: ContractItem, theta_m: float, sigma_n: float) -> float:
-    """Seller utility R - b^2/theta - f^2/sigma for its own item."""
-    if theta_m <= 0 or sigma_n <= 0:
-        raise ValueError("type parameters must be positive")
-    return item.r - item.b**2 / theta_m - item.f**2 / sigma_n
-
-
 def downlink_rate(b, ch: ChannelParams):
     """Downlink rate b*ln(1 + p*g2/(b*n0)), with the b -> 0 limit taken as 0."""
     b = _as_array(b)
@@ -247,25 +220,9 @@ def downlink_rate(b, ch: ChannelParams):
     return rate
 
 
-def rendering_gain(b, f, hmd: HMDParams):
-    """Log rendering gain ln(Dv(z1*S*b + z2*mu*f^2)/T_th)."""
-    b = _as_array(b)
-    f = _as_array(f)
-    arg = (
-        hmd.resolution
-        * hmd.framerate
-        * (hmd.zeta1 * hmd.s_eff * b + hmd.zeta2 * hmd.mu * f**2)
-    )
-    if np.any(arg <= 0):
-        raise ValueError("rendering argument must be positive (b and f cannot both be 0)")
-    gain = np.log(arg / hmd.t_th)
-    if gain.ndim == 0:
-        return float(gain)
-    return gain
-
-
 def immersion(b, f, ch: ChannelParams, hmd: HMDParams):
-    """Immersion metric: downlink rate times log rendering gain.
+    """Immersion metric: downlink rate times the log rendering gain
+    ln(Dv(z1*S*b + z2*mu*f^2)/T_th).
 
     Zero bandwidth gives zero immersion regardless of f (the rate factor
     vanishes), so the rendering-gain domain error is only raised when it is
@@ -296,20 +253,6 @@ def latency(b, ch: ChannelParams):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def av_type_utility(
-    item: ContractItem,
-    ch: ChannelParams,
-    hmd: HMDParams,
-    sens: SensitivityParams,
-) -> float:
-    """Buyer utility from one type pair: alpha*immersion - beta*latency - R."""
-    return float(
-        sens.alpha_imm * _as_array(immersion(item.b, item.f, ch, hmd))
-        - sens.beta_lat * _as_array(latency(item.b, ch))
-        - item.r
-    )
 
 
 def utility_matrix(

@@ -1,7 +1,16 @@
 """IR/IC feasibility checking and minimal-reward recovery for contract menus.
 
-:func:`ic_slack` is the one computation of IC slack: the checkers list
-violations from it, and the diffusion reward sums it.
+A menu is feasible when it is IR, IC and monotone.  Each constraint is
+decided in one place:
+
+* :func:`monotone_descents` is the one monotonicity definition: a resource
+  grid is monotone when it is nondecreasing along both type axes, within
+  :data:`SLACK_TOL`.  The checkers, the precondition of
+  :func:`recurrence_utilities` and the solver's refinement all go through it.
+* :func:`ic_slack` is the one computation of IR and IC slack (own-item
+  utilities and the (M, N, M, N) slack tensor).  :func:`check_full` and
+  :func:`check_reduced` list violations from one call of it, each passing
+  a cell mask for IR and a pair mask for IC; the diffusion reward sums it.
 
 :func:`minimal_rewards` gives the minimal feasible rewards on every lattice,
 for a whole batch of candidate resource grids at once: the IR/IC constraints
@@ -38,12 +47,9 @@ __all__ = [
     "FeasibilityReport",
     "InfeasibleMenuError",
     "NonMonotoneError",
-    "cross_utility",
     "own_utilities",
     "ic_slack",
-    "check_ir",
-    "check_ic_full",
-    "monotone_violations",
+    "monotone_descents",
     "check_monotone",
     "check_full",
     "check_reduced",
@@ -90,16 +96,6 @@ class FeasibilityReport:
         return rows
 
 
-def cross_utility(menu: ContractMenu, grid: TypeGrid, m: int, n: int, p: int, q: int) -> float:
-    """Utility of type (m, n) selecting the item designed for type (p, q)."""
-    menu.check_dims(grid)
-    if not (0 <= m < grid.m and 0 <= n < grid.n and 0 <= p < grid.m and 0 <= q < grid.n):
-        raise IndexError("type indices out of range")
-    return float(
-        menu.r[p, q] - menu.b[p, q] ** 2 / grid.theta[m] - menu.f[p, q] ** 2 / grid.sigma[n]
-    )
-
-
 def cross_utility_tensor(menu: ContractMenu, grid: TypeGrid) -> np.ndarray:
     """All V_{m,n}^{p,q} as a (M, N, M, N) tensor indexed [m, n, p, q]."""
     menu.check_dims(grid)
@@ -131,59 +127,50 @@ def ic_slack(menu: ContractMenu, grid: TypeGrid) -> tuple[np.ndarray, np.ndarray
     return own, own[:, :, None, None] - v
 
 
-def _ic_violations(slack: np.ndarray, mask: np.ndarray) -> list[tuple[int, int, int, int, float]]:
-    """(m, n, p, q, slack) for every entry in ``mask``, in index order."""
-    return [
-        (int(m), int(n), int(p), int(q), float(slack[m, n, p, q]))
-        for m, n, p, q in np.argwhere(mask)
-    ]
+def monotone_descents(x) -> np.ndarray:
+    """Where an (..., M, N) stack of grids falls between adjacent cells by more
+    than SLACK_TOL, as an (..., M, N, 2) bool mask.
 
-
-def check_ir(menu: ContractMenu, grid: TypeGrid) -> list[tuple[int, int, float]]:
-    """List every type pair whose own-item utility is below -SLACK_TOL."""
-    v = own_utilities(menu, grid)
-    out = []
-    for m, n in zip(*np.where(v < -SLACK_TOL)):
-        out.append((int(m), int(n), float(v[m, n])))
-    return out
-
-
-def check_ic_full(menu: ContractMenu, grid: TypeGrid) -> list[tuple[int, int, int, int, float]]:
-    """Evaluate all MN(MN-1) pairwise constraints V^{own} >= V^{other}."""
-    _, slack = ic_slack(menu, grid)
-    # the diagonal slack is exactly 0, so own items never count as violations
-    return _ic_violations(slack, slack < -SLACK_TOL)
-
-
-def monotone_violations(x: np.ndarray, name: str) -> list[tuple]:
-    """Check x_{i,j} <= max(x_{i,n}, x_{m,j}) <= x_{m,n} for m > i, n > j on
-    one (M, N) resource grid; violations are labelled ``name``."""
-    out = []
-    m_dim, n_dim = x.shape
-    for m in range(m_dim):
-        for n in range(n_dim):
-            for i in range(m):
-                for j in range(n):
-                    hi = max(x[i, n], x[m, j])
-                    if not (
-                        x[i, j] <= hi + SLACK_TOL and hi <= x[m, n] + SLACK_TOL
-                    ):
-                        out.append((name, (i, j), (m, n)))
-    return out
+    Entry [..., i, j, 0] flags x[i+1, j] < x[i, j] and [..., i, j, 1] flags
+    x[i, j+1] < x[i, j]; the last row and column have no such step and read
+    False.  A grid is monotone when its slice of the mask is all False.
+    """
+    x = np.asarray(x, dtype=float)
+    descents = np.zeros(x.shape + (2,), dtype=bool)
+    descents[..., :-1, :, 0] = np.diff(x, axis=-2) < -SLACK_TOL
+    descents[..., :, :-1, 1] = np.diff(x, axis=-1) < -SLACK_TOL
+    return descents
 
 
 def check_monotone(menu: ContractMenu) -> list[tuple]:
-    """:func:`monotone_violations` of the menu's b and f grids."""
-    return monotone_violations(menu.b, "b") + monotone_violations(menu.f, "f")
+    """(field, (i, j), (m, n)) for every adjacent step of the menu's b and f
+    grids that decreases, (m, n) being (i+1, j) or (i, j+1)."""
+    descents = np.argwhere(monotone_descents(np.stack([menu.b, menu.f])))
+    return [("bf"[k], (i, j), (i + 1 - axis, j + axis)) for k, i, j, axis in descents.tolist()]
+
+
+def _report(menu: ContractMenu, grid: TypeGrid, cells, pairs) -> FeasibilityReport:
+    """IR rows for the cells in ``cells`` (broadcast against (M, N)) and IC
+    rows for the type pairs in ``pairs`` (broadcast against (M, N, M, N)),
+    both from one :func:`ic_slack`, plus every monotonicity violation."""
+    own, slack = ic_slack(menu, grid)
+    return FeasibilityReport(
+        ir_violations=[
+            (m, n, float(own[m, n]))
+            for m, n in np.argwhere(cells & (own < -SLACK_TOL)).tolist()
+        ],
+        # the diagonal slack is exactly 0, so own items never count as violations
+        ic_violations=[
+            (m, n, p, q, float(slack[m, n, p, q]))
+            for m, n, p, q in np.argwhere(pairs & (slack < -SLACK_TOL)).tolist()
+        ],
+        monotonicity_violations=check_monotone(menu),
+    )
 
 
 def check_full(menu: ContractMenu, grid: TypeGrid) -> FeasibilityReport:
     """Full constraint set: every IR, every IC pair, and resource monotonicity."""
-    return FeasibilityReport(
-        ir_violations=check_ir(menu, grid),
-        ic_violations=check_ic_full(menu, grid),
-        monotonicity_violations=check_monotone(menu),
-    )
+    return _report(menu, grid, cells=True, pairs=True)
 
 
 def check_reduced(menu: ContractMenu, grid: TypeGrid) -> FeasibilityReport:
@@ -197,32 +184,16 @@ def check_reduced(menu: ContractMenu, grid: TypeGrid) -> FeasibilityReport:
     pairs are not ordered by the lattice and no local constraint implies
     them, so dropping any of them loses violations.
     """
-    own, slack = ic_slack(menu, grid)
     m_dim, n_dim = menu.shape
-
-    ir = []
-    if own[0, 0] < -SLACK_TOL:
-        ir.append((0, 0, float(own[0, 0])))
+    lowest = np.zeros((m_dim, n_dim), dtype=bool)
+    lowest[0, 0] = True
 
     # offsets (p - m, q - n) of every ordered type pair, shape (M, N, M, N)
     dm = np.arange(m_dim)[None, None, :, None] - np.arange(m_dim)[:, None, None, None]
     dn = np.arange(n_dim)[None, None, None, :] - np.arange(n_dim)[None, :, None, None]
     comparable_neighbor = (np.maximum(np.abs(dm), np.abs(dn)) == 1) & (dm * dn >= 0)
     incomparable = dm * dn < 0
-    ic = _ic_violations(slack, (comparable_neighbor | incomparable) & (slack < -SLACK_TOL))
-
-    return FeasibilityReport(
-        ir_violations=ir,
-        ic_violations=ic,
-        monotonicity_violations=check_monotone(menu),
-    )
-
-
-def _require_monotone(b_grid: np.ndarray, f_grid: np.ndarray) -> None:
-    fake = ContractMenu(b=b_grid, f=f_grid, r=np.zeros_like(b_grid))
-    bad = check_monotone(fake)
-    if bad:
-        raise NonMonotoneError(f"resource grids violate monotonicity: {bad[:3]}")
+    return _report(menu, grid, cells=lowest, pairs=comparable_neighbor | incomparable)
 
 
 def recurrence_utilities(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
@@ -247,7 +218,8 @@ def recurrence_utilities(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
     f_grid = np.asarray(f_grid, dtype=float)
     if b_grid.shape != (grid.m, grid.n) or f_grid.shape != (grid.m, grid.n):
         raise ValueError("resource grids must match the type grid shape")
-    _require_monotone(b_grid, f_grid)
+    if monotone_descents(np.stack([b_grid, f_grid])).any():
+        raise NonMonotoneError("resource grids are not nondecreasing along both axes")
 
     inv_t = 1.0 / grid.theta
     inv_s = 1.0 / grid.sigma

@@ -191,7 +191,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path | None = None, menu_csv: Pat
         report = feasibility.check_full(menu, sc.grid)
         if not report.feasible:
             failures.append(f"menu {menu_csv} infeasible: {len(report.ir_violations)} IR, "
-                            f"{len(report.ic_violations)} IC violations")
+                            f"{len(report.ic_violations)} IC, "
+                            f"{len(report.monotonicity_violations)} monotonicity violations")
     else:
         # reduction equivalence spot check on fresh random menus; roughly a
         # third of random monotone grids carry a positive IC cycle and are

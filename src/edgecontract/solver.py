@@ -28,7 +28,7 @@ from .econ import (
     TypeGrid,
     pt_objective,
 )
-from .feasibility import minimal_rewards, monotone_violations
+from .feasibility import minimal_rewards, monotone_descents
 
 # unused here; perfbench's tracer wraps these names in solver's namespace
 from .econ import pt_expected  # noqa: F401
@@ -170,7 +170,7 @@ def refine_local(
             if np.any(trial < lo) or np.any(trial > hi):
                 continue
             # minimal_rewards does not check monotonicity itself
-            if monotone_violations(trial[0], "b") or monotone_violations(trial[1], "f"):
+            if monotone_descents(trial).any():
                 continue
             r, feasible, obj = _complete_and_score(
                 trial[:1], trial[1:], grid, ch, hmd, sens, pt

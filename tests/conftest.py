@@ -57,6 +57,14 @@ def implementable_bf(rng: np.random.Generator, grid: TypeGrid):
     raise RuntimeError(f"no implementable resource grids in {MAX_REDRAWS} draws")
 
 
+def cross_utility(menu, grid: TypeGrid, m: int, n: int, p: int, q: int) -> float:
+    """Scalar reference: utility of type (m, n) selecting the item designed
+    for type (p, q), R - b^2/theta - f^2/sigma."""
+    return float(
+        menu.r[p, q] - menu.b[p, q] ** 2 / grid.theta[m] - menu.f[p, q] ** 2 / grid.sigma[n]
+    )
+
+
 def simple_channel(p_dbm: float = 22.5, g_db: float = -23.5, d: float = 50.0) -> ChannelParams:
     return ChannelParams(
         p=dbm_to_watts(p_dbm),

@@ -7,7 +7,7 @@ from edgecontract import diffusion as df
 from edgecontract.econ import ContractMenu
 from edgecontract.nn import Mlp
 
-from conftest import make_grid, neutral_pt, simple_channel, simple_hmd, simple_sens
+from conftest import cross_utility, make_grid, neutral_pt, simple_channel, simple_hmd, simple_sens
 
 
 def _scenario(rng, m=2, n=2):
@@ -157,7 +157,6 @@ def test_reward_fn_matches_quadruple_loop(rng):
         )
         g = sc.grid
         from edgecontract.econ import pt_expected
-        from edgecontract.feasibility import cross_utility
 
         expect = pt_expected(menu, g, sc.ch, sc.hmd, sc.sens, sc.pt)
         for m in range(2):

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from edgecontract.econ import (
     ChannelParams,
-    ContractItem,
     ContractMenu,
     HMDParams,
     PTParams,
     TypeGrid,
-    av_type_utility,
     db_to_linear,
     dbm_to_watts,
     downlink_rate,
@@ -22,12 +20,22 @@ from edgecontract.econ import (
     prob_weight,
     pt_expected,
     pt_value,
-    rendering_gain,
-    rsu_utility,
     utility_matrix,
 )
+from edgecontract.feasibility import own_utilities
 
 from conftest import make_grid, neutral_pt, simple_channel, simple_hmd, simple_sens
+
+
+def _one_item(b, f, r, theta=100.0, sigma=100.0):
+    """A 1 x 1 menu holding one contract item, and its one-type grid."""
+    menu = ContractMenu(b=[[b]], f=[[f]], r=[[r]])
+    return menu, TypeGrid(theta=[theta], sigma=[sigma], q=[[1.0]])
+
+
+def av_type_utility(b, f, r, ch, hmd, sens) -> float:
+    """Scalar reference: buyer utility alpha*immersion - beta*latency - R of one item."""
+    return sens.alpha_imm * immersion(b, f, ch, hmd) - sens.beta_lat * latency(b, ch) - r
 
 
 # -- domain type validation -------------------------------------------------
@@ -47,13 +55,6 @@ def test_type_grid_requires_probability_mass():
         TypeGrid(theta=[10.0, 20.0], sigma=[10.0, 20.0], q=np.full((2, 2), 0.3))
     with pytest.raises(ValueError):
         TypeGrid(theta=[10.0, 20.0], sigma=[10.0, 20.0], q=-np.full((2, 2), 0.25))
-
-
-def test_contract_item_rejects_negative_fields():
-    with pytest.raises(ValueError):
-        ContractItem(b=-1.0, f=0.0, r=0.0)
-    with pytest.raises(ValueError):
-        ContractItem(b=0.0, f=0.0, r=-0.1)
 
 
 def test_contract_menu_shape_checks():
@@ -89,8 +90,8 @@ def test_pt_params_validation():
 
 def test_rsu_utility_hand_computation():
     # 10 - 400/80 - 900/120 = -2.5
-    item = ContractItem(b=20.0, f=30.0, r=10.0)
-    assert rsu_utility(item, 80.0, 120.0) == pytest.approx(-2.5, abs=1e-12)
+    menu, grid = _one_item(b=20.0, f=30.0, r=10.0, theta=80.0, sigma=120.0)
+    assert own_utilities(menu, grid)[0, 0] == pytest.approx(-2.5, abs=1e-12)
 
 
 @given(
@@ -101,9 +102,9 @@ def test_rsu_utility_hand_computation():
     sigma=st.floats(10.0, 200.0),
 )
 def test_rsu_utility_matches_formula(b, f, r, theta, sigma):
-    item = ContractItem(b=b, f=f, r=r)
+    menu, grid = _one_item(b, f, r, theta, sigma)
     expect = r - b**2 / theta - f**2 / sigma
-    assert rsu_utility(item, theta, sigma) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+    assert own_utilities(menu, grid)[0, 0] == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
 # -- channel and rendering --------------------------------------------------
@@ -129,19 +130,6 @@ def test_downlink_rate_formula_value():
     assert downlink_rate(b, ch) == pytest.approx(expect, rel=1e-12)
 
 
-def test_rendering_gain_rejects_zero_resources():
-    hmd = simple_hmd()
-    with pytest.raises(ValueError):
-        rendering_gain(0.0, 0.0, hmd)
-
-
-def test_rendering_gain_formula_value():
-    hmd = simple_hmd(s_eff=2.0, mu=0.5)
-    b, f = 4.0, 1.5
-    arg = hmd.resolution * hmd.framerate * (0.5 * 2.0 * b + 0.5 * 0.5 * f**2)
-    assert rendering_gain(b, f, hmd) == pytest.approx(np.log(arg / hmd.t_th), rel=1e-12)
-
-
 def test_immersion_zero_bandwidth_is_zero_without_domain_error():
     ch, hmd = simple_channel(), simple_hmd()
     assert immersion(0.0, 0.0, ch, hmd) == 0.0
@@ -149,11 +137,21 @@ def test_immersion_zero_bandwidth_is_zero_without_domain_error():
     assert out[0, 0] == 0.0 and np.all(out[np.array([[False, True], [True, True]])] != 0.0)
 
 
+def test_rendering_gain_formula_value():
+    # rendering gain ln(Dv(z1*S*b + z2*mu*f^2)/T_th) is immersion per unit of rate
+    ch, hmd = simple_channel(), simple_hmd(s_eff=2.0, mu=0.5)
+    b, f = 4.0, 1.5
+    arg = hmd.resolution * hmd.framerate * (0.5 * 2.0 * b + 0.5 * 0.5 * f**2)
+    gain = immersion(b, f, ch, hmd) / downlink_rate(b, ch)
+    assert gain == pytest.approx(np.log(arg / hmd.t_th), rel=1e-12)
+
+
 def test_immersion_is_rate_times_gain():
-    ch, hmd = simple_channel(), simple_hmd()
+    ch, hmd = simple_channel(), simple_hmd(s_eff=2.0, mu=0.5)
     b, f = 6.0, 2.0
+    arg = hmd.resolution * hmd.framerate * (0.5 * 2.0 * b + 0.5 * 0.5 * f**2)
     assert immersion(b, f, ch, hmd) == pytest.approx(
-        downlink_rate(b, ch) * rendering_gain(b, f, hmd), rel=1e-12
+        downlink_rate(b, ch) * np.log(arg / hmd.t_th), rel=1e-12
     )
 
 
@@ -167,8 +165,8 @@ def test_latency_linear_in_bandwidth_and_distance():
 def test_av_utility_strictly_decreasing_in_reward(r1, r2):
     ch, hmd, sens = simple_channel(), simple_hmd(), simple_sens()
     lo, hi = sorted((r1, r2))
-    u_lo = av_type_utility(ContractItem(b=2.0, f=1.0, r=lo), ch, hmd, sens)
-    u_hi = av_type_utility(ContractItem(b=2.0, f=1.0, r=hi), ch, hmd, sens)
+    u_lo = utility_matrix(*_one_item(b=2.0, f=1.0, r=lo), ch, hmd, sens)[0, 0]
+    u_hi = utility_matrix(*_one_item(b=2.0, f=1.0, r=hi), ch, hmd, sens)[0, 0]
     assert u_lo - u_hi == pytest.approx(hi - lo, rel=1e-9, abs=1e-9)
 
 
@@ -183,7 +181,7 @@ def test_utility_matrix_matches_scalar_evaluations(rng):
     u = utility_matrix(menu, grid, ch, hmd, sens)
     for m in range(2):
         for n in range(2):
-            expect = av_type_utility(menu.item(m, n), ch, hmd, sens)
+            expect = av_type_utility(menu.b[m, n], menu.f[m, n], menu.r[m, n], ch, hmd, sens)
             assert u[m, n] == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
@@ -198,7 +196,9 @@ def test_eut_expected_is_probability_weighted_sum(rng):
     total = 0.0
     for m in range(2):
         for n in range(2):
-            total += grid.q[m, n] * av_type_utility(menu.item(m, n), ch, hmd, sens)
+            total += grid.q[m, n] * av_type_utility(
+                menu.b[m, n], menu.f[m, n], menu.r[m, n], ch, hmd, sens
+            )
     assert eut_expected(menu, grid, ch, hmd, sens) == pytest.approx(total, rel=1e-12)
 
 

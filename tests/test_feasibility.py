@@ -8,7 +8,7 @@ import pytest
 from edgecontract import feasibility as fz
 from edgecontract.econ import ContractMenu, TypeGrid
 
-from conftest import implementable_bf, make_grid, monotone_bf
+from conftest import cross_utility, implementable_bf, make_grid, monotone_bf
 
 
 def _menu(b, f, r):
@@ -20,33 +20,11 @@ def _menu(b, f, r):
 def test_cross_utility_matches_formula(rng):
     grid = make_grid(rng)
     menu = _menu(rng.uniform(0, 10, (2, 2)), rng.uniform(0, 3, (2, 2)), rng.uniform(0, 50, (2, 2)))
-    for m in range(2):
-        for n in range(2):
-            for p in range(2):
-                for q in range(2):
-                    expect = (
-                        menu.r[p, q]
-                        - menu.b[p, q] ** 2 / grid.theta[m]
-                        - menu.f[p, q] ** 2 / grid.sigma[n]
-                    )
-                    assert fz.cross_utility(menu, grid, m, n, p, q) == pytest.approx(
-                        expect, rel=1e-12, abs=1e-12
-                    )
     tensor = fz.cross_utility_tensor(menu, grid)
-    for m in range(2):
-        for n in range(2):
-            for p in range(2):
-                for q in range(2):
-                    assert tensor[m, n, p, q] == pytest.approx(
-                        fz.cross_utility(menu, grid, m, n, p, q), rel=1e-12, abs=1e-12
-                    )
-
-
-def test_cross_utility_index_bounds(rng):
-    grid = make_grid(rng)
-    menu = _menu(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
-    with pytest.raises(IndexError):
-        fz.cross_utility(menu, grid, 2, 0, 0, 0)
+    for m, n, p, q in itertools.product(range(2), repeat=4):
+        assert tensor[m, n, p, q] == pytest.approx(
+            cross_utility(menu, grid, m, n, p, q), rel=1e-12, abs=1e-12
+        )
 
 
 def test_check_ir_flags_negative_own_utility(rng):
@@ -54,10 +32,10 @@ def test_check_ir_flags_negative_own_utility(rng):
     b = np.full((2, 2), 5.0)
     f = np.full((2, 2), 2.0)
     r = b**2 / grid.theta[:, None] + f**2 / grid.sigma[None, :]
-    assert fz.check_ir(_menu(b, f, r), grid) == []
+    assert fz.check_full(_menu(b, f, r), grid).ir_violations == []
     r_bad = r.copy()
     r_bad[1, 1] -= 1.0
-    viol = fz.check_ir(_menu(b, f, r_bad), grid)
+    viol = fz.check_full(_menu(b, f, r_bad), grid).ir_violations
     assert len(viol) == 1 and viol[0][:2] == (1, 1)
 
 
@@ -68,7 +46,7 @@ def test_check_ic_full_counts_all_pairs(rng):
     f = np.zeros((2, 2))
     r = np.zeros((2, 2))
     r[0, 0] = 1.0
-    viol = fz.check_ic_full(_menu(b, f, r), grid)
+    viol = fz.check_full(_menu(b, f, r), grid).ic_violations
     assert len(viol) == 3
     assert all(v[2:4] == (0, 0) for v in viol)
 
@@ -85,6 +63,20 @@ def test_check_monotone_rejects_dominated_corner():
     assert fz.check_monotone(_menu(b, f, np.zeros((2, 2)))) != []
 
 
+def test_check_full_rejects_descent_along_one_axis(rng):
+    # f falls from (0, 0) to (1, 0) but every cross-corner comparison
+    # x[i,j] <= max(x[i,n], x[m,j]) <= x[m,n] holds; the pattern search once
+    # emitted this f on a 3 x 2 scenario
+    grid = make_grid(rng, 3, 2)
+    b = np.full((3, 2), 5.0)
+    f = np.array([[2.25, 3.0], [0.0, 3.0], [2.25, 3.0]])
+    report = fz.check_full(_menu(b, f, fz.minimal_reward_oracle(b, f, grid)), grid)
+    assert report.ir_violations == [] and report.ic_violations == []
+    assert report.monotonicity_violations == [("f", (0, 0), (1, 0))]
+    assert "monotone_f,0,0,1,0," in report.csv_rows()
+    assert not report.feasible
+
+
 # -- IC slack ---------------------------------------------------------------
 
 # offsets (p - m, q - n) of the comparable lattice neighbors
@@ -92,8 +84,8 @@ _NEIGHBORS = {(0, -1), (-1, 0), (-1, -1), (0, 1), (1, 0), (1, 1)}
 
 
 def _brute_force_ic(menu, grid, reduced):
-    """IC violations from cross_utility one pair at a time; the reduced set
-    keeps comparable lattice neighbors plus every incomparable pair."""
+    """IC violations from the scalar cross utility one pair at a time; the
+    reduced set keeps comparable lattice neighbors plus every incomparable pair."""
     out = []
     cells = list(itertools.product(range(grid.m), range(grid.n)))
     for (m, n), (p, q) in itertools.product(cells, cells):
@@ -102,7 +94,7 @@ def _brute_force_ic(menu, grid, reduced):
         dm, dn = p - m, q - n
         if reduced and not ((dm, dn) in _NEIGHBORS or dm * dn < 0):
             continue
-        slack = fz.cross_utility(menu, grid, m, n, m, n) - fz.cross_utility(menu, grid, m, n, p, q)
+        slack = cross_utility(menu, grid, m, n, m, n) - cross_utility(menu, grid, m, n, p, q)
         if slack < -fz.SLACK_TOL:
             out.append((m, n, p, q, slack))
     return out
@@ -115,7 +107,7 @@ def test_ic_violation_lists_match_brute_force(rng, shape):
         grid = make_grid(rng, *shape)
         b, f = monotone_bf(rng, *shape)
         menu = _menu(b, f, rng.uniform(0, 50, shape))
-        for got, reduced in ((fz.check_ic_full(menu, grid), False),
+        for got, reduced in ((fz.check_full(menu, grid).ic_violations, False),
                              (fz.check_reduced(menu, grid).ic_violations, True)):
             expect = _brute_force_ic(menu, grid, reduced)
             assert [v[:4] for v in got] == [v[:4] for v in expect]
@@ -257,6 +249,9 @@ def test_recurrence_rejects_non_monotone(rng):
     f = np.zeros((2, 2))
     with pytest.raises(fz.NonMonotoneError):
         fz.recurrence_utilities(b, f, grid)
+    # a descent along one axis only, with both cross corners in order
+    with pytest.raises(fz.NonMonotoneError):
+        fz.recurrence_utilities(np.full((2, 2), 10.0), np.array([[3.0, 3.0], [0.0, 3.0]]), grid)
 
 
 def test_recurrence_matches_oracle_on_2x2(rng):
@@ -330,8 +325,11 @@ def test_feasibility_report_csv_rows(rng):
     grid = make_grid(rng)
     r = np.zeros((2, 2))
     r[0, 0] = 1.0
-    report = fz.check_full(_menu(np.zeros((2, 2)), np.zeros((2, 2)), r), grid)
+    # f falls along row 0 only; (0, 0) <= max(f[0,1], f[1,0]) <= f[1,1] holds
+    f = np.array([[1.0, 0.0], [1.0, 1.0]])
+    report = fz.check_full(_menu(np.zeros((2, 2)), f, r), grid)
     rows = report.csv_rows()
     assert rows[0] == "kind,m,n,p,q,slack"
     assert any(row.startswith("ic,") for row in rows)
+    assert [row for row in rows if row.startswith("monotone_")] == ["monotone_f,0,0,0,1,"]
     assert not report.feasible

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edgecontract import cli, harness
+from edgecontract import feasibility as fz
 from edgecontract.econ import ContractMenu
 from edgecontract.harness import RunRecord
 from edgecontract.scenario import (
@@ -209,6 +210,33 @@ def test_cmd_verify_flags_bad_menu(tmp_path):
     path = tmp_path / "bad_menu.csv"
     harness._write_csv(path, ["m", "n", "b", "f", "r"], harness._menu_rows(menu))
     assert harness.cmd_verify(cfg, tmp_path, menu_csv=path) == 1
+
+
+@pytest.mark.parametrize("seed", [13, 34])
+def test_cmd_solve_emits_per_axis_monotone_resources(tmp_path, seed):
+    # at the default config these seeds' pattern search reaches probes that
+    # fall along one axis while both cross corners stay in order
+    cfg = ExperimentConfig()
+    cfg.seed = seed
+    assert harness.cmd_solve(cfg, tmp_path) == 0
+    menu = harness._read_menu_csv(tmp_path / "solve_menu.csv", 2, 2)
+    for x in (menu.b, menu.f):
+        assert np.all(np.diff(x, axis=0) >= -fz.SLACK_TOL)
+        assert np.all(np.diff(x, axis=1) >= -fz.SLACK_TOL)
+
+
+def test_cli_verify_rejects_menu_falling_along_one_axis(tmp_path, capsys):
+    # f[1, 0] < f[0, 0] with IR and IC met; the solver emitted this f for seed 13
+    cfg = ExperimentConfig()
+    cfg.seed = 13
+    grid = sample_scenario(cfg, np.random.default_rng(13)).grid
+    b = np.full((2, 2), 10.0)
+    f = np.array([[3.0, 3.0], [0.0, 3.0]])
+    menu = ContractMenu(b=b, f=f, r=fz.minimal_reward_oracle(b, f, grid))
+    path = tmp_path / "menu.csv"
+    harness._write_csv(path, ["m", "n", "b", "f", "r"], harness._menu_rows(menu))
+    assert cli.main(["verify", "--seed", "13", "--menu", str(path), "--out", str(tmp_path)]) == 1
+    assert "0 IR, 0 IC, 1 monotonicity violations" in capsys.readouterr().out
 
 
 def test_cmd_train_writes_artifacts(tmp_path):

@@ -42,15 +42,20 @@ def test_monotone_grids_match_brute_force_enumeration(shape, count):
     # depends on the lexicographic row-major order
     levels = np.array([0.0, 1.0, 2.0])
     got = monotone_grids(levels, *shape)
-    expect = []
-    for vals in itertools.product(levels, repeat=shape[0] * shape[1]):
-        g = np.array(vals).reshape(shape)
-        if (np.all(np.diff(g, axis=0) >= 0)) and (np.all(np.diff(g, axis=1) >= 0)):
-            expect.append(g)
+    every = np.array(list(itertools.product(levels, repeat=shape[0] * shape[1]))).reshape(-1, *shape)
+    verdicts = []
+    for g in every:
+        verdict = (np.all(np.diff(g, axis=0) >= 0)) and (np.all(np.diff(g, axis=1) >= 0))
+        # the checkers' one monotonicity definition agrees grid by grid
+        assert (not fz.monotone_descents(g).any()) == verdict
+        verdicts.append(verdict)
+    expect = every[verdicts]
     assert got.shape == (len(expect), *shape)
-    assert np.array_equal(got, np.array(expect))
+    assert np.array_equal(got, expect)
     # known count: plane partitions in an m x n x 2 box
     assert len(got) == count
+    # and on the whole stack at once
+    assert np.array_equal(~fz.monotone_descents(every).any(axis=(-3, -2, -1)), verdicts)
 
 
 def test_solve_grid_matches_independent_enumeration(rng):
