@@ -164,18 +164,14 @@ def forward_diffuse(x0: np.ndarray, k: int, schedule: NoiseSchedule, noise: np.n
     return np.sqrt(lh) * np.asarray(x0, dtype=float) + np.sqrt(1.0 - lh) * np.asarray(noise)
 
 
-def _denoise_coeffs(schedule: NoiseSchedule, k: int) -> tuple[float, float, float]:
-    lam = schedule.lam[k - 1]
-    lh = schedule.lam_hat[k - 1]
-    iota = schedule.iota[k - 1]
-    return 1.0 / np.sqrt(lam), iota / np.sqrt(lam * (1.0 - lh)), np.sqrt(iota)
-
-
-def _actor_input(x: np.ndarray, s: np.ndarray, k: int, k_total: int) -> np.ndarray:
-    """Batched denoiser input rows [x_k, state, one-hot(k)]."""
-    onehot = np.zeros(k_total)
-    onehot[k - 1] = 1.0
-    return np.concatenate([x, s, np.broadcast_to(onehot, (x.shape[0], k_total))], axis=1)
+def _denoise_coeffs(schedule: NoiseSchedule) -> list[tuple[float, float, float]]:
+    """Per reverse step k = 1..K (index k - 1): the input scale 1/sqrt(lam_k),
+    the noise-prediction scale iota_k / sqrt(lam_k (1 - lam_hat_k)) and the
+    injected noise scale sqrt(iota_k)."""
+    return [
+        (1.0 / np.sqrt(lam), iota / np.sqrt(lam * (1.0 - lh)), np.sqrt(iota))
+        for lam, lh, iota in zip(schedule.lam, schedule.lam_hat, schedule.iota)
+    ]
 
 
 @dataclass
@@ -198,7 +194,14 @@ class GdmHyperparams:
 
 
 class GdmAgent:
-    """Actor/critic bundle realizing the diffusion contract policy."""
+    """Actor/critic bundle realizing the diffusion contract policy.
+
+    The twin critics are one stacked network (``critics``, and
+    ``target_critics`` for their targets) on a leading axis of 2;
+    ``critic1``/``critic2`` are plain-network views of its two members.
+    The agent owns the batch buffers its chain and updates reuse, one set
+    per batch size.
+    """
 
     def __init__(
         self,
@@ -221,39 +224,78 @@ class GdmAgent:
         hidden = [self.hp.hidden_width] * self.hp.hidden_layers
         acts = ["relu"] * self.hp.hidden_layers + ["identity"]
         self.actor = Mlp([ad + sd + self.schedule.k] + hidden + [ad], acts, rng)
-        self.critic1 = Mlp([sd + ad] + hidden + [1], acts, rng)
-        self.critic2 = Mlp([sd + ad] + hidden + [1], acts, rng)
+        self.critics = Mlp([sd + ad] + hidden + [1], acts, rng, stack=2)
+        self.critic1, self.critic2 = self.critics.member(0), self.critics.member(1)
         self.target_actor = self.actor.clone()
-        self.target_critic1 = self.critic1.clone()
-        self.target_critic2 = self.critic2.clone()
+        self.target_critics = self.critics.clone()
 
         self.actor_opt = AdamState.for_net(self.actor)
-        self.critic1_opt = AdamState.for_net(self.critic1)
-        self.critic2_opt = AdamState.for_net(self.critic2)
+        self.critics_opt = AdamState.for_net(self.critics)
+        self._coeffs = _denoise_coeffs(self.schedule)
+        self._buffers: dict[tuple, np.ndarray] = {}
+        self._chain_bufs: dict[tuple[int, bool], list[np.ndarray]] = {}
+
+    def _buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A reused array, one per name and shape; its contents are stale."""
+        buf = self._buffers.get((name, shape))
+        if buf is None:
+            buf = self._buffers[(name, shape)] = np.empty(shape)
+        return buf
+
+    def _chain_inputs(self, batch: int, record: bool) -> list[np.ndarray]:
+        """Actor input rows [x_k, state, one-hot(k)] for k = 1..K (index
+        k - 1), one set for recorded chains and one for the others; the
+        one-hot columns are filled in once."""
+        bufs = self._chain_bufs.get((batch, record))
+        if bufs is None:
+            k_total, width = self.schedule.k, self.actor.in_dim
+            bufs = self._chain_bufs[(batch, record)] = [np.zeros((batch, width)) for _ in range(k_total)]
+            for k, buf in enumerate(bufs, start=1):
+                buf[:, width - k_total + k - 1] = 1.0
+        return bufs
 
     # -- action generation -------------------------------------------------
 
-    def _denoise_chain(self, s_batch: np.ndarray, rng: np.random.Generator, actor: Mlp, record: bool):
-        """Run the reverse chain on a batch; optionally keep tapes for backprop."""
+    def _denoise_chain(self, s_batch: np.ndarray, rng: np.random.Generator, actor: Mlp, record: bool,
+                       out: np.ndarray | None = None):
+        """Run the reverse chain on a batch; optionally keep tapes for backprop.
+
+        Returns ``(u, x, tapes)``.  ``u = tanh(x)`` goes to ``out``, or to a
+        fresh array; ``x``, the last chain state, is an agent buffer that
+        the next chain at this batch size overwrites.  With ``record`` the
+        tapes, one per step k = K..1, stay valid until the next recorded
+        chain at this batch size.
+        """
         batch = s_batch.shape[0]
         ad = action_dim(self.m, self.n)
-        x = rng.standard_normal((batch, ad))
+        inputs = self._chain_inputs(batch, record)
+        x = self._buffer("chain_x", (batch, ad))
+        eps = self._buffer("chain_eps", (batch, ad))
+        noise = self._buffer("chain_noise", (batch, ad))
+        rng.standard_normal(out=x)
         tapes = []
         for k in range(self.schedule.k, 0, -1):
-            inv_sqrt_lam, eps_coeff, noise_coeff = _denoise_coeffs(self.schedule, k)
-            eps, tape = actor.apply(_actor_input(x, s_batch, k, self.schedule.k))
-            x_next = inv_sqrt_lam * x - eps_coeff * eps
+            inp = inputs[k - 1]
+            inp[:, :ad] = x
+            inp[:, ad : ad + s_batch.shape[1]] = s_batch
+            inv_sqrt_lam, eps_coeff, noise_coeff = self._coeffs[k - 1]
+            _, tape = actor.apply(inp, eps, k if record else None)
+            # x_{k-1} = inv_sqrt_lam x_k - eps_coeff eps (+ noise_coeff z), in place
+            x *= inv_sqrt_lam
+            eps *= eps_coeff
+            x -= eps
             if k > 1:
-                x_next = x_next + noise_coeff * rng.standard_normal((batch, ad))
+                rng.standard_normal(out=noise)
+                noise *= noise_coeff
+                x += noise
             if record:
                 tapes.append((k, tape, inv_sqrt_lam, eps_coeff))
-            x = x_next
-        u = np.tanh(x)
-        return u, x, tapes
+        return np.tanh(x, out=out), x, tapes
 
-    def act_batch(self, s_batch: np.ndarray, rng: np.random.Generator, target: bool = False) -> np.ndarray:
+    def act_batch(self, s_batch: np.ndarray, rng: np.random.Generator, target: bool = False,
+                  out: np.ndarray | None = None) -> np.ndarray:
         actor = self.target_actor if target else self.actor
-        u, _, _ = self._denoise_chain(s_batch, rng, actor, record=False)
+        u, _, _ = self._denoise_chain(s_batch, rng, actor, record=False, out=out)
         return u
 
 
@@ -281,21 +323,31 @@ def reward_fn(
     ``violations_only`` clips positive slack at zero so only violations are
     penalized; the literal sum is the default.
     """
+    return reward_components(menu, grid, ch, hmd, sens, pt, penalty_weight, violations_only)[0]
+
+
+def reward_components(
+    menu: ContractMenu,
+    grid: TypeGrid,
+    ch: ChannelParams,
+    hmd: HMDParams,
+    sens: SensitivityParams,
+    pt: PTParams,
+    penalty_weight: float = 1.0,
+    violations_only: bool = False,
+) -> tuple[float, float, float, float]:
+    """``(reward, u_pt, ic_slack_sum, ir_slack_min)`` from one utility and
+    one slack evaluation: the :func:`reward_fn` value and the training
+    log's diagnostics."""
     u_pt = pt_expected(menu, grid, ch, hmd, sens, pt)
     own, slack = ic_slack(menu, grid)
-    slack = slack.reshape(own.size, own.size)[~np.eye(own.size, dtype=bool)]
+    cross = slack.reshape(own.size, own.size)[~np.eye(own.size, dtype=bool)]
     if violations_only:
-        slack = np.minimum(slack, 0.0)
-    return float(u_pt + own.sum() + penalty_weight * slack.sum())
-
-
-def reward_components(menu, grid, ch, hmd, sens, pt) -> tuple[float, float, float]:
-    """(u_pt, ic_slack_sum, ir_slack_min) diagnostics for the training log."""
-    u_pt = pt_expected(menu, grid, ch, hmd, sens, pt)
+        cross = np.minimum(cross, 0.0)
+    reward = float(u_pt + own.sum() + penalty_weight * cross.sum())
     # the diagonal slack is exactly 0.0; summing the whole tensor keeps the
     # element order of the full (M, N, M, N) sum
-    own, slack = ic_slack(menu, grid)
-    return u_pt, float(slack.sum()), float(own.min())
+    return reward, u_pt, float(slack.sum()), float(own.min())
 
 
 @dataclass
@@ -343,31 +395,41 @@ class ReplayBuffer:
 
 
 def critic_update(agent: GdmAgent, batch, rng: np.random.Generator) -> tuple[float, float]:
-    """Double-Q regression toward r + gamma (1 - d) min(Q1', Q2')."""
+    """Double-Q regression toward r + gamma (1 - d) min(Q1', Q2').
+
+    Both critics regress on one stacked forward and backward pass and take
+    one Adam step on the stacked parameters.
+    """
     s, a, r, s_next, d = batch
-    batch_size = s.shape[0]
-    a_next = agent.act_batch(s_next, rng, target=True)
-    sa_next = np.concatenate([s_next, a_next], axis=1)
-    q1n, _ = agent.target_critic1.apply(sa_next)
-    q2n, _ = agent.target_critic2.apply(sa_next)
-    target = r + agent.hp.gamma * (1.0 - d) * np.minimum(q1n[:, 0], q2n[:, 0])
+    batch_size, sd = s.shape
+    buf = agent._buffer
+    sa_next = buf("sa_next", (batch_size, agent.critics.in_dim))
+    sa_next[:, :sd] = s_next
+    agent.act_batch(s_next, rng, target=True, out=sa_next[:, sd:])
+    q_next, _ = agent.target_critics.apply(sa_next, buf("q", (2, batch_size, 1)), None)
+    q_min = np.minimum(q_next[0, :, 0], q_next[1, :, 0], out=buf("q_min", (batch_size,)))
+    target = np.subtract(1.0, d, out=buf("q_target", (batch_size,)))
+    target *= agent.hp.gamma
+    target *= q_min
+    target += r
 
-    sa = np.concatenate([s, a], axis=1)
-    losses = []
-    for critic, opt in (
-        (agent.critic1, agent.critic1_opt),
-        (agent.critic2, agent.critic2_opt),
-    ):
-        q, tape = critic.apply(sa)
-        err = q[:, 0] - target
-        losses.append(float(np.mean(err**2)))
-        upstream = (2.0 * err / batch_size)[:, None]
-        grad, _ = critic.grads(tape, upstream)
-        adam_step(opt, critic.params, grad, agent.hp.critic_lr)
-    return losses[0], losses[1]
+    sa = buf("sa", sa_next.shape)
+    sa[:, :sd] = s
+    sa[:, sd:] = a
+    q, tape = agent.critics.apply(sa, buf("q", (2, batch_size, 1)))
+    err = np.subtract(q[:, :, 0], target, out=buf("err", (2, batch_size)))
+    sq = np.square(err, out=buf("err_sq", (2, batch_size)))
+    losses = float(np.mean(sq[0])), float(np.mean(sq[1]))
+    upstream = np.multiply(err, 2.0, out=sq)
+    upstream /= batch_size
+    grad, _ = agent.critics.grads(tape, upstream[:, :, None], buf("critic_grad", agent.critics.params.shape),
+                                  wrt="params")
+    adam_step(agent.critics_opt, agent.critics.params, grad, agent.hp.critic_lr)
+    return losses
 
 
-def actor_gradient(agent: GdmAgent, s_batch: np.ndarray, rng: np.random.Generator):
+def actor_gradient(agent: GdmAgent, s_batch: np.ndarray, rng: np.random.Generator,
+                   out: np.ndarray | None = None):
     """Loss -mean Q1(s, policy(s)) and its gradient w.r.t. actor parameters.
 
     The gradient flows backward through the squash and every step of the
@@ -375,52 +437,70 @@ def actor_gradient(agent: GdmAgent, s_batch: np.ndarray, rng: np.random.Generato
     discourages saturated actions (a crude stand-in for the intractable
     policy entropy).  Returns ``(loss, grad)`` with ``grad`` aligned with
     ``agent.actor.params`` and pointing in the descent direction of the
-    loss.
+    loss; ``grad`` goes to ``out`` when given, else to a fresh array.
     """
     s = s_batch
-    batch_size = s.shape[0]
-    u, x0, tapes = agent._denoise_chain(s, rng, agent.actor, record=True)
+    batch_size, sd = s.shape
+    ad = action_dim(agent.m, agent.n)
+    buf = agent._buffer
+    u, _, tapes = agent._denoise_chain(s, rng, agent.actor, record=True, out=buf("u", (batch_size, ad)))
+    sa = buf("sa", (batch_size, agent.critics.in_dim))
+    sa[:, :sd] = s
+    sa[:, sd:] = u
 
-    sa = np.concatenate([s, u], axis=1)
-    q, tape = agent.critic1.apply(sa)
+    q, tape = agent.critic1.apply(sa, buf("q1", (batch_size, 1)))
     loss = -float(np.mean(q[:, 0]))
 
-    upstream = np.full((batch_size, 1), 1.0 / batch_size)
-    _, sa_grad = agent.critic1.grads(tape, upstream)
-    du = sa_grad[:, s.shape[1] :]
+    upstream = buf("q1_upstream", (batch_size, 1))
+    upstream.fill(1.0 / batch_size)
+    _, sa_grad = agent.critic1.grads(tape, upstream, dx_out=buf("sa_grad", sa.shape), wrt="input")
+    du = sa_grad[:, sd:]
+    g, tmp = buf("chain_g", (batch_size, ad)), buf("chain_tmp", (batch_size, ad))
     if agent.hp.varpi > 0:
-        du = du - agent.hp.varpi * 2.0 * u / batch_size
-    g = du * np.maximum(1.0 - u**2, agent.hp.tanh_grad_floor)  # through tanh
+        np.multiply(u, agent.hp.varpi * 2.0, out=tmp)
+        tmp /= batch_size
+        np.subtract(du, tmp, out=g)
+    else:
+        np.copyto(g, du)
+    # through tanh: g = du * max(1 - u^2, floor)
+    np.square(u, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    np.maximum(tmp, agent.hp.tanh_grad_floor, out=tmp)
+    g *= tmp
 
-    ad = action_dim(agent.m, agent.n)
-    total = np.zeros_like(agent.actor.params)
+    total = np.zeros_like(agent.actor.params) if out is None else out
+    total.fill(0.0)
+    step_grad = buf("actor_step_grad", agent.actor.params.shape)
+    in_grad = buf("actor_in_grad", (batch_size, agent.actor.in_dim))
     # tapes were recorded k = K..1; backprop consumes them in reverse (k = 1..K)
     for k, tape, inv_sqrt_lam, eps_coeff in reversed(tapes):
-        grad, in_grad = agent.actor.grads(tape, -eps_coeff * g)
-        total += grad
-        g = g * inv_sqrt_lam + in_grad[:, :ad]
+        last = k == agent.schedule.k
+        np.multiply(g, -eps_coeff, out=tmp)
+        agent.actor.grads(tape, tmp, step_grad, in_grad, wrt="params" if last else "both")
+        total += step_grad
+        if not last:
+            g *= inv_sqrt_lam
+            g += in_grad[:, :ad]
 
     # total accumulates the ascent direction of Q; negate for the loss
-    return loss, -total
+    return loss, np.negative(total, out=total)
 
 
 def actor_update(agent: GdmAgent, batch, rng: np.random.Generator) -> float:
     """One Q-guided policy-gradient step on the actor (see actor_gradient)."""
-    loss, grad = actor_gradient(agent, batch[0], rng)
+    grad = agent._buffer("actor_grad", agent.actor.params.shape)
+    loss, _ = actor_gradient(agent, batch[0], rng, out=grad)
     adam_step(agent.actor_opt, agent.actor.params, grad, agent.hp.actor_lr)
     return loss
 
 
 def soft_update(agent: GdmAgent, tau: float | None = None) -> None:
-    """target <- tau * online + (1 - tau) * target for every network pair."""
+    """target <- tau * online + (1 - tau) * target for the actor and the
+    critic stack."""
     t = agent.hp.tau if tau is None else tau
-    for online, target in (
-        (agent.actor, agent.target_actor),
-        (agent.critic1, agent.target_critic1),
-        (agent.critic2, agent.target_critic2),
-    ):
+    for online, target in ((agent.actor, agent.target_actor), (agent.critics, agent.target_critics)):
         target.params *= 1.0 - t
-        target.params += t * online.params
+        target.params += np.multiply(online.params, t, out=agent._buffer("blend", online.params.shape))
 
 
 class ContractEnv:
@@ -448,8 +528,9 @@ class ContractEnv:
             self._current = self.scenario_fn(rng)
         return self._current
 
-    def reward(self, menu: ContractMenu, sc: Scenario) -> float:
-        return reward_fn(
+    def reward_components(self, menu: ContractMenu, sc: Scenario) -> tuple[float, float, float, float]:
+        """``(reward, u_pt, ic_slack_sum, ir_slack_min)``, see :func:`reward_components`."""
+        return reward_components(
             menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt,
             penalty_weight=self.penalty_weight,
             violations_only=self.violations_only,
@@ -475,7 +556,8 @@ def train(
     noise_hi = agent.hp.explore_noise
     noise_lo = noise_hi if agent.hp.explore_noise_final is None else agent.hp.explore_noise_final
     buffer = ReplayBuffer(
-        capacity=agent.hp.buffer_capacity,
+        # a run never stores more transitions than it makes
+        capacity=min(agent.hp.buffer_capacity, episodes * steps),
         state_dim=state_dim(agent.m, agent.n),
         act_dim=action_dim(agent.m, agent.n),
     )
@@ -489,7 +571,7 @@ def train(
             u = agent.act_batch(s[None, :], rng)[0]
             u = np.clip(u + noise_scale * rng.standard_normal(u.shape), -1.0, 1.0)
             menu = map_action(u, agent.bounds, agent.m, agent.n)
-            r = env.reward(menu, sc)
+            r, u_pt, ic_sum, ir_min = env.reward_components(menu, sc)
             if not np.isfinite(r):
                 raise FloatingPointError(f"non-finite reward at episode {ep} step {t}")
             sc_next = env.step_scenario(rng) if env.resample_each_step else sc
@@ -501,13 +583,9 @@ def train(
             c1, c2 = critic_update(agent, batch, rng)
             a_loss = actor_update(agent, batch, rng)
             soft_update(agent)
-            for net in (agent.actor, agent.critic1, agent.critic2):
+            for net in (agent.actor, agent.critics):
                 if not np.all(np.isfinite(net.params)):
                     raise FloatingPointError(f"non-finite parameters at episode {ep} step {t}")
-
-            u_pt, ic_sum, ir_min = reward_components(
-                menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt
-            )
             log.append(
                 {
                     "epoch": ep,

@@ -5,11 +5,27 @@ several forward passes can coexist before their backward passes (needed when
 backpropagating through a multi-step denoising chain).  Each network keeps
 all its weights and biases in one flat parameter vector, so the optimizer,
 soft target updates and finiteness checks each act on a single vector.
+
+A network built with ``stack=S`` holds S independent networks of one shape:
+``params`` has shape (S, P), every layer runs as one stacked matmul, and each
+slice equals a plain network bit for bit.  ``member(i)`` returns network
+``i`` as a plain ``Mlp`` that shares its parameters, and its workspaces,
+with the stack.  The diffusion agent keeps its twin critics, and their
+targets, as stacks of 2.
+
+Memory.  Each network keeps workspaces per input row count and reuses them
+on every call: one tape per ``slot`` (per-layer pre-activations and hidden
+activations), one buffer per layer for forward-only passes (``slot=None``)
+and one set of backward scratch.  The caller owns everything a call
+returns: ``apply``'s output and ``grads``' gradients are fresh arrays, or
+the caller's own ``out=`` arrays.  A tape is the exception: it is a view of
+the workspace and stays valid only until the next ``apply`` with the same
+row count and slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,25 +34,13 @@ __all__ = ["Mlp", "GradTape", "AdamState", "adam_step"]
 _ACTIVATIONS = ("relu", "tanh", "identity")
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0).astype(float)
-    if name == "tanh":
-        return 1.0 - np.tanh(z) ** 2
-    return np.ones_like(z)
-
-
 @dataclass
 class GradTape:
-    """Cached per-layer inputs and pre-activations from one forward pass."""
+    """Per-layer inputs and pre-activations from one forward pass.
+
+    ``inputs[0]`` is the caller's input; the other arrays belong to the
+    network's workspace.
+    """
 
     inputs: list[np.ndarray]
     preacts: list[np.ndarray]
@@ -47,10 +51,12 @@ class Mlp:
     """Fully connected network with one activation tag per layer.
 
     ``params`` holds every weight and bias; ``weights[i]`` and ``biases[i]``
-    are views into it.
+    are views into it.  ``params=`` builds the network on an existing vector
+    instead of allocating one.
     """
 
-    def __init__(self, widths: list[int], activations: list[str], rng: np.random.Generator | None = None):
+    def __init__(self, widths: list[int], activations: list[str], rng: np.random.Generator | None = None,
+                 stack: int | None = None, *, params: np.ndarray | None = None):
         if len(activations) != len(widths) - 1:
             raise ValueError("need one activation per layer")
         for a in activations:
@@ -58,23 +64,36 @@ class Mlp:
                 raise ValueError(f"unknown activation {a!r}")
         self.widths = list(widths)
         self.activations = list(activations)
-        sizes = [(d_in + 1) * d_out for d_in, d_out in zip(widths[:-1], widths[1:])]
-        self.params = np.zeros(sum(sizes))
+        self.stack = stack
+        self._lead = () if stack is None else (stack,)
+        size = sum((d_in + 1) * d_out for d_in, d_out in zip(widths[:-1], widths[1:]))
+        if params is None:
+            params = np.zeros(self._lead + (size,))
+        elif params.shape != self._lead + (size,):
+            raise ValueError(f"params shape {params.shape} != {self._lead + (size,)}")
+        self.params = params
         self.weights, self.biases = self._layer_views(self.params)
+        self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
+        self._row_biases = [b[..., None, :] for b in self.biases]
+        self._tapes: dict[tuple[int, int | None], tuple[GradTape | None, list[np.ndarray]]] = {}
+        self._scratch: dict[int, tuple[list[np.ndarray], list[np.ndarray | None]]] = {}
+        self._owner: tuple[Mlp, int] | None = None  # (stack, index) for a stack member
         if rng is not None:
-            for w in self.weights:
-                # He-style fan-in scaling
-                w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+            # He-style fan-in scaling; a stack draws member by member
+            for member in self.params.reshape(-1, size):
+                for w in self._layer_views(member)[0]:
+                    w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
 
     def _layer_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views into a vector laid out like ``params``:
-        [W0 (row-major), b0, W1, b1, ...]."""
+        [W0 (row-major), b0, W1, b1, ...] along its last axis."""
         weights, biases = [], []
+        lead = flat.shape[:-1]
         off = 0
         for d_in, d_out in zip(self.widths[:-1], self.widths[1:]):
-            weights.append(flat[off : off + d_in * d_out].reshape(d_in, d_out))
+            weights.append(flat[..., off : off + d_in * d_out].reshape(lead + (d_in, d_out)))
             off += d_in * d_out
-            biases.append(flat[off : off + d_out])
+            biases.append(flat[..., off : off + d_out])
             off += d_out
         return weights, biases
 
@@ -82,51 +101,137 @@ class Mlp:
     def in_dim(self) -> int:
         return self.widths[0]
 
-    def apply(self, x: np.ndarray) -> tuple[np.ndarray, GradTape]:
-        """Forward pass returning the output and an explicit gradient tape."""
-        x = np.asarray(x, dtype=float)
-        batched = x.ndim == 2
-        h = x if batched else x[None, :]
-        if h.shape[1] != self.in_dim:
-            raise ValueError(f"expected input width {self.in_dim}, got {h.shape[1]}")
-        inputs, preacts = [], []
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            inputs.append(h)
-            z = h @ w + b
-            preacts.append(z)
-            h = _act(act, z)
-        tape = GradTape(inputs=inputs, preacts=preacts, batched=batched)
-        return (h if batched else h[0]), tape
+    def member(self, i: int) -> "Mlp":
+        """Network ``i`` of a stack, sharing its parameters with the stack."""
+        if self.stack is None:
+            raise ValueError("member() needs a stacked network")
+        net = Mlp(self.widths, self.activations, params=self.params[i])
+        net._owner = (self, i)
+        return net
 
-    def grads(self, tape: GradTape, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _workspace(self, rows: int, slot: int | None) -> tuple[GradTape | None, list[np.ndarray]]:
+        """The tape of one slot and its per-layer activation buffers; slot
+        None has no tape and computes activations in place.  A member of a
+        stack uses its slice of the stack's workspace."""
+        ws = self._tapes.get((rows, slot))
+        if ws is None:
+            if self._owner is not None:
+                stack, i = self._owner
+                tape, acts = stack._workspace(rows, slot)
+                preacts, acts = ([z[i] for z in tape.preacts] if tape else None), [a[i] for a in acts]
+            else:
+                preacts = [np.empty(self._lead + (rows, d)) for d in self.widths[1:]]
+                acts = preacts if slot is None else [z if a == "identity" else np.empty_like(z)
+                                                     for z, a in zip(preacts, self.activations)]
+            tape = None if slot is None else GradTape([None, *acts[:-1]], preacts, True)
+            ws = self._tapes[(rows, slot)] = (tape, acts)
+        return ws
+
+    def _backward_scratch(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+        """Per-width gradient buffers and per-layer activation-derivative
+        buffers (a relu mask, a tanh derivative, nothing for identity); a
+        member of a stack uses its slice of the stack's."""
+        scratch = self._scratch.get(rows)
+        if scratch is None:
+            if self._owner is not None:
+                stack, i = self._owner
+                g, derivs = stack._backward_scratch(rows)
+                g, derivs = [b[i] for b in g], [None if d is None else d[i] for d in derivs]
+            else:
+                g = [np.empty(self._lead + (rows, d)) for d in self.widths]
+                derivs = [np.empty(z.shape, bool) if a == "relu" else np.empty_like(z) if a == "tanh" else None
+                          for z, a in zip(g[1:], self.activations)]
+            scratch = self._scratch[rows] = (g, derivs)
+        return scratch
+
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None,
+              slot: int | None = 0) -> tuple[np.ndarray, GradTape | None]:
+        """Forward pass returning the output and the gradient tape of ``slot``.
+
+        ``slot=None`` runs a forward-only pass and returns no tape.  A
+        stacked network takes a shared (rows, in) input or one per member,
+        (S, rows, in), and returns (S, rows, out).  The output is written to
+        ``out`` when given, else to a fresh array.
+        """
+        x = np.asarray(x, dtype=float)
+        batched = x.ndim >= 2
+        h = x if batched else x[None, :]
+        if h.shape[-1] != self.in_dim:
+            raise ValueError(f"expected input width {self.in_dim}, got {h.shape[-1]}")
+        tape, acts = self._workspace(h.shape[-2], slot)
+        if tape is not None:
+            tape.inputs[0] = h
+            tape.batched = batched
+        for w, b, z, a, act in zip(self.weights, self._row_biases, tape.preacts if tape else acts, acts,
+                                   self.activations):
+            np.matmul(h, w, out=z)
+            z += b
+            if act == "relu":
+                np.maximum(z, 0.0, out=a)
+            elif act == "tanh":
+                np.tanh(z, out=a)
+            h = a
+        y = h if batched else h[..., 0, :]
+        if out is None:
+            return y.copy(), tape
+        np.copyto(out, y)
+        return out, tape
+
+    def grads(self, tape: GradTape, upstream: np.ndarray, out: np.ndarray | None = None,
+              dx_out: np.ndarray | None = None, wrt: str = "both") -> tuple[np.ndarray | None, np.ndarray | None]:
         """Gradients of sum(output * upstream) w.r.t. ``params`` and the input.
 
         Returns ``(grad, dx)``: ``grad`` is aligned with ``params`` and summed
         over the batch, ``dx`` keeps the batch axis of the forward input.
+        ``wrt="params"`` skips the input gradient and ``wrt="input"`` the
+        parameter gradient; the skipped one is returned as None.  ``grad``
+        goes to ``out`` and ``dx`` to ``dx_out`` when given, else to fresh
+        arrays.
         """
+        if wrt not in ("both", "params", "input"):
+            raise ValueError(f"unknown wrt {wrt!r}")
         upstream = np.asarray(upstream, dtype=float)
-        g = upstream if tape.batched else upstream[None, :]
-        grad = np.empty_like(self.params)
-        dws, dbs = self._layer_views(grad)
+        g = upstream if tape.batched else upstream[..., None, :]
+        g_bufs, d_bufs = self._backward_scratch(tape.preacts[0].shape[-2])
+        grad = None
+        if wrt != "input":
+            grad = np.empty_like(self.params) if out is None else out
+            dws, dbs = self._layer_views(grad)
         for i in reversed(range(len(self.weights))):
-            g = g * _act_grad(self.activations[i], tape.preacts[i])
-            np.matmul(tape.inputs[i].T, g, out=dws[i])
-            np.sum(g, axis=0, out=dbs[i])
-            g = g @ self.weights[i].T
-        return grad, (g if tape.batched else g[0])
+            act, z, d = self.activations[i], tape.preacts[i], d_bufs[i]
+            if act == "relu":
+                np.greater(z, 0.0, out=d)
+                g = np.multiply(g, d, out=g_bufs[i + 1])
+            elif act == "tanh":
+                np.tanh(z, out=d)
+                np.square(d, out=d)
+                np.subtract(1.0, d, out=d)
+                g = np.multiply(g, d, out=g_bufs[i + 1])
+            if grad is not None:
+                np.matmul(tape.inputs[i].swapaxes(-1, -2), g, out=dws[i])
+                np.add.reduce(g, axis=-2, out=dbs[i])
+            if i == 0 and wrt == "params":
+                return grad, None
+            g = np.matmul(g, self._weights_t[i], out=g_bufs[i])
+        dx = g if tape.batched else g[..., 0, :]
+        if dx_out is None:
+            return grad, dx.copy()
+        np.copyto(dx_out, dx)
+        return grad, dx_out
 
     def copy_from(self, other: "Mlp") -> None:
         self.params[...] = other.params
 
     def clone(self) -> "Mlp":
-        net = Mlp(self.widths, self.activations)
+        net = Mlp(self.widths, self.activations, stack=self.stack)
         net.copy_from(self)
         return net
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one parameter vector."""
+    """First/second moment accumulators for one parameter vector, plus two
+    temporaries of its shape that ``adam_step`` reuses."""
 
     m: np.ndarray
     v: np.ndarray
@@ -134,6 +239,10 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    _tmp: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._tmp = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def for_net(cls, net: Mlp) -> "AdamState":
@@ -141,14 +250,26 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
-    """In-place adaptive-moment update with bias correction."""
+    """In-place adaptive-moment update with bias correction.
+
+    Evaluates m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t) and
+    params -= lr * m_hat / (sqrt(v_hat) + eps) operation by operation in
+    that order, in the state's two temporaries.
+    """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     m, v = state.m, state.v
+    a, b = state._tmp
     m *= b1
-    m += (1 - b1) * grads
+    m += np.multiply(grads, 1 - b1, out=a)
     v *= b2
-    v += (1 - b2) * grads * grads
-    m_hat = m / (1 - b1**state.t)
-    v_hat = v / (1 - b2**state.t)
-    params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    np.multiply(grads, 1 - b2, out=a)
+    a *= grads
+    v += a
+    np.divide(m, 1 - b1**state.t, out=a)  # m_hat
+    np.divide(v, 1 - b2**state.t, out=b)  # v_hat
+    np.sqrt(b, out=b)
+    b += state.eps
+    a *= lr
+    a /= b
+    params -= a

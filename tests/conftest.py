@@ -124,6 +124,39 @@ def acceptance_config(seed: int = 0) -> ExperimentConfig:
     return cfg
 
 
+def mlp_reference_apply(net, x):
+    """The allocating forward pass of a plain ``Mlp``, kept as the reference
+    for the workspace version: ``(output, record)``."""
+    h = np.asarray(x, dtype=float)
+    batched = h.ndim == 2
+    h = h if batched else h[None, :]
+    inputs, preacts = [], []
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        inputs.append(h)
+        z = h @ w + b
+        preacts.append(z)
+        h = np.maximum(z, 0.0) if act == "relu" else np.tanh(z) if act == "tanh" else z
+    return (h if batched else h[0]), (inputs, preacts, batched)
+
+
+def mlp_reference_grads(net, record, upstream):
+    """The allocating backward pass matching :func:`mlp_reference_apply`:
+    ``(grad, dx)`` with ``grad`` laid out like ``net.params``."""
+    inputs, preacts, batched = record
+    g = np.asarray(upstream, dtype=float)
+    g = g if batched else g[None, :]
+    parts = []
+    for i in reversed(range(len(net.weights))):
+        z, act = preacts[i], net.activations[i]
+        if act == "relu":
+            g = g * (z > 0).astype(float)
+        elif act == "tanh":
+            g = g * (1.0 - np.tanh(z) ** 2)
+        parts[:0] = [(inputs[i].T @ g).ravel(), np.sum(g, axis=0)]
+        g = g @ net.weights[i].T
+    return np.concatenate(parts), (g if batched else g[0])
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -5,9 +5,20 @@ import pytest
 
 from edgecontract import diffusion as df
 from edgecontract.econ import ContractMenu
-from edgecontract.nn import Mlp
+from edgecontract.harness import run_training
+from edgecontract.nn import AdamState, Mlp, adam_step
+from edgecontract.scenario import ExperimentConfig
 
-from conftest import cross_utility, make_grid, neutral_pt, simple_channel, simple_hmd, simple_sens
+from conftest import (
+    cross_utility,
+    make_grid,
+    mlp_reference_apply,
+    mlp_reference_grads,
+    neutral_pt,
+    simple_channel,
+    simple_hmd,
+    simple_sens,
+)
 
 
 def _scenario(rng, m=2, n=2):
@@ -194,6 +205,26 @@ def test_reward_fn_violations_only_never_exceeds_literal(rng):
         lit = df.reward_fn(menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
         vio = df.reward_fn(menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt, violations_only=True)
         assert vio <= lit + 1e-12
+
+
+def test_reward_components_match_separate_evaluations(rng):
+    from edgecontract.econ import pt_expected
+    from edgecontract.feasibility import ic_slack
+
+    for violations_only in (False, True):
+        sc = _scenario(rng)
+        menu = ContractMenu(
+            b=rng.uniform(0, 10, (2, 2)),
+            f=rng.uniform(0, 3, (2, 2)),
+            r=rng.uniform(0, 50, (2, 2)),
+        )
+        g = sc.grid
+        reward, u_pt, ic_sum, ir_min = df.reward_components(
+            menu, g, sc.ch, sc.hmd, sc.sens, sc.pt, 2.0, violations_only)
+        own, slack = ic_slack(menu, g)
+        assert reward == df.reward_fn(menu, g, sc.ch, sc.hmd, sc.sens, sc.pt, 2.0, violations_only)
+        assert u_pt == pt_expected(menu, g, sc.ch, sc.hmd, sc.sens, sc.pt)
+        assert ic_sum == float(slack.sum()) and ir_min == float(own.min())
 
 
 # -- replay buffer ----------------------------------------------------------
@@ -403,3 +434,107 @@ def test_baseline_greedy_equals_per_cell_loop(rng, shape):
         assert reward == ref_reward
         for field in ("b", "f", "r"):
             assert np.array_equal(getattr(menu, field), getattr(ref_menu, field)), field
+
+
+# -- reused buffers against the allocating reference ------------------------
+
+def _reference_chain(agent, s, rng, actor):
+    """The allocating reverse chain: a concatenated input per step."""
+    sched, k_total = agent.schedule, agent.schedule.k
+    batch, ad = s.shape[0], df.action_dim(agent.m, agent.n)
+    x = rng.standard_normal((batch, ad))
+    records = []
+    for k in range(k_total, 0, -1):
+        lam, lh, iota = sched.lam[k - 1], sched.lam_hat[k - 1], sched.iota[k - 1]
+        inv_sqrt_lam, eps_coeff = 1.0 / np.sqrt(lam), iota / np.sqrt(lam * (1.0 - lh))
+        onehot = np.zeros(k_total)
+        onehot[k - 1] = 1.0
+        inp = np.concatenate([x, s, np.broadcast_to(onehot, (batch, k_total))], axis=1)
+        eps, record = mlp_reference_apply(actor, inp)
+        x_next = inv_sqrt_lam * x - eps_coeff * eps
+        if k > 1:
+            x_next = x_next + np.sqrt(iota) * rng.standard_normal((batch, ad))
+        records.append((record, inv_sqrt_lam, eps_coeff))
+        x = x_next
+    return np.tanh(x), x, records
+
+
+def _reference_actor_gradient(agent, s, rng):
+    batch, ad = s.shape[0], df.action_dim(agent.m, agent.n)
+    u, _, records = _reference_chain(agent, s, rng, agent.actor)
+    q, record = mlp_reference_apply(agent.critic1, np.concatenate([s, u], axis=1))
+    _, sa_grad = mlp_reference_grads(agent.critic1, record, np.full((batch, 1), 1.0 / batch))
+    du = sa_grad[:, s.shape[1]:]
+    if agent.hp.varpi > 0:
+        du = du - agent.hp.varpi * 2.0 * u / batch
+    g = du * np.maximum(1.0 - u**2, agent.hp.tanh_grad_floor)
+    total = np.zeros_like(agent.actor.params)
+    for record, inv_sqrt_lam, eps_coeff in reversed(records):
+        grad, in_grad = mlp_reference_grads(agent.actor, record, -eps_coeff * g)
+        total += grad
+        g = g * inv_sqrt_lam + in_grad[:, :ad]
+    return -float(np.mean(q[:, 0])), -total
+
+
+def test_denoise_chain_matches_allocating_reference(rng):
+    agent = _small_agent(seed=9)
+    for batch in (8, 1, 8):
+        s = rng.standard_normal((batch, df.state_dim(2, 2)))
+        for record in (False, True):
+            u, x, _ = agent._denoise_chain(s, np.random.default_rng(batch), agent.actor, record)
+            u_ref, x_ref, _ = _reference_chain(agent, s, np.random.default_rng(batch), agent.actor)
+            assert np.array_equal(u, u_ref) and np.array_equal(x, x_ref)
+
+
+def test_actor_gradient_matches_allocating_reference(rng):
+    agent = _small_agent(seed=10, varpi=0.2, tanh_grad_floor=0.1)
+    for i in range(3):
+        s = rng.standard_normal((8, df.state_dim(2, 2)))
+        loss, grad = df.actor_gradient(agent, s, np.random.default_rng(i))
+        loss_ref, grad_ref = _reference_actor_gradient(agent, s, np.random.default_rng(i))
+        assert loss == loss_ref and np.array_equal(grad, grad_ref)
+        df.actor_update(agent, (s,), np.random.default_rng(i))
+
+
+def test_critic_update_equals_two_independent_critics(rng):
+    # the stacked update must move each critic exactly as the per-critic loop did
+    agent = _small_agent(seed=11, gamma=0.9)
+    critics = [agent.critic1.clone(), agent.critic2.clone()]
+    targets = [agent.target_critics.member(i).clone() for i in range(2)]
+    opts = [AdamState.for_net(c) for c in critics]
+    for i in range(3):
+        batch = _random_batch(rng, agent)
+        s, a, r, s_next, d = batch
+        losses = df.critic_update(agent, batch, np.random.default_rng(i))
+
+        a_next, _, _ = _reference_chain(agent, s_next, np.random.default_rng(i), agent.target_actor)
+        sa_next = np.concatenate([s_next, a_next], axis=1)
+        q1n, q2n = (mlp_reference_apply(t, sa_next)[0] for t in targets)
+        target = r + agent.hp.gamma * (1.0 - d) * np.minimum(q1n[:, 0], q2n[:, 0])
+        sa = np.concatenate([s, a], axis=1)
+        for j, (critic, opt) in enumerate(zip(critics, opts)):
+            q, record = mlp_reference_apply(critic, sa)
+            err = q[:, 0] - target
+            assert losses[j] == float(np.mean(err**2))
+            grad, _ = mlp_reference_grads(critic, record, (2.0 * err / s.shape[0])[:, None])
+            adam_step(opt, critic.params, grad, agent.hp.critic_lr)
+            assert np.array_equal(agent.critics.params[j], critic.params)
+
+        df.soft_update(agent)
+        for critic, target_net in zip(critics, targets):
+            target_net.params *= 1.0 - agent.hp.tau
+            target_net.params += agent.hp.tau * critic.params
+        for j, target_net in enumerate(targets):
+            assert np.array_equal(agent.target_critics.params[j], target_net.params)
+
+
+def test_run_training_twice_in_one_process_gives_identical_logs():
+    cfg = ExperimentConfig()
+    cfg.seed = 3
+    t = cfg.training
+    t.episodes, t.steps, t.batch_size, t.hidden_width = 20, 3, 32, 16
+    first, _, _ = run_training(cfg)
+    second, _, _ = run_training(cfg)
+    assert len(first.metrics) == 60 and first.metrics == second.metrics
+    for field in ("b", "f", "r"):
+        assert np.array_equal(getattr(first.menu, field), getattr(second.menu, field))

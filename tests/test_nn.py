@@ -5,6 +5,8 @@ import pytest
 
 from edgecontract.nn import AdamState, Mlp, adam_step
 
+from conftest import mlp_reference_apply, mlp_reference_grads
+
 
 def _reference_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     """Straight-line reimplementation of the forward pass."""
@@ -180,3 +182,155 @@ def test_params_layout_views_and_grad_shape():
     other = net.clone()
     assert not np.shares_memory(other.params, net.params)
     assert np.array_equal(other.params, net.params)
+
+
+# -- workspaces, stacks and the fused optimizer ---------------------------------
+
+ACCEPTANCE_CRITIC = [24, 64, 64, 1]
+ACTIVATION_SETS = [
+    ["relu", "relu", "identity"],
+    ["tanh", "tanh", "identity"],
+    ["identity", "relu", "tanh"],
+]
+
+
+def test_grads_match_allocating_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for acts in ACTIVATION_SETS:
+        net = Mlp([5, 7, 6, 3], acts, rng)
+        for x in (rng.standard_normal((9, 5)), rng.standard_normal(5)):
+            up = rng.standard_normal(x.shape[:-1] + (3,))
+            y, tape = net.apply(x)
+            y_ref, record = mlp_reference_apply(net, x)
+            assert np.array_equal(y, y_ref)
+            for z, z_ref in zip(tape.preacts, record[1]):
+                assert np.array_equal(z, z_ref)
+            grad, dx = net.grads(tape, up)
+            grad_ref, dx_ref = mlp_reference_grads(net, record, up)
+            assert np.array_equal(grad, grad_ref) and np.array_equal(dx, dx_ref)
+
+
+def test_returned_arrays_survive_later_calls_at_same_batch_size():
+    rng = np.random.default_rng(12)
+    for net in (Mlp([4, 6, 2], ["relu", "identity"], rng),
+                Mlp([4, 6, 2], ["tanh", "identity"], rng, stack=2)):
+        x1, x2 = rng.standard_normal((2, 5, 4))
+        up1, up2 = rng.standard_normal((2, *net.apply(x1)[0].shape))
+        y1, tape1 = net.apply(x1)
+        grad1, dx1 = net.grads(tape1, up1)
+        _, dx1_only = net.grads(tape1, up1, wrt="input")
+        kept = [a.copy() for a in (y1, grad1, dx1, dx1_only)]
+        _, tape2 = net.apply(x2)
+        net.grads(tape2, up2)
+        net.grads(tape2, up2, wrt="input")
+        for got, want in zip((y1, grad1, dx1, dx1_only), kept):
+            assert np.array_equal(got, want)
+        assert not np.array_equal(net.apply(x2)[0], y1)
+
+
+def test_recorded_slots_keep_their_tapes():
+    rng = np.random.default_rng(13)
+    net = Mlp([3, 5, 2], ["relu", "identity"], rng)
+    x1, x2 = rng.standard_normal((2, 4, 3))
+    up = rng.standard_normal((4, 2))
+    _, tape1 = net.apply(x1, slot=1)
+    want = net.grads(tape1, up)
+    net.apply(x2, slot=2)
+    net.apply(x2, slot=None)
+    for got, ref in zip(net.grads(tape1, up), want):
+        assert np.array_equal(got, ref)
+    # a forward-only pass gives the same output and returns no tape
+    y, tape = net.apply(x1, slot=None)
+    assert tape is None and np.array_equal(y, net.apply(x1)[0])
+
+
+def test_out_arguments_receive_the_results():
+    rng = np.random.default_rng(14)
+    net = Mlp([3, 5, 2], ["relu", "identity"], rng)
+    x, up = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+    y = np.empty((4, 2))
+    grad, dx = np.empty_like(net.params), np.empty((4, 3))
+    got_y, tape = net.apply(x, y)
+    got_grad, got_dx = net.grads(tape, up, grad, dx)
+    assert got_y is y and got_grad is grad and got_dx is dx
+    ref_grad, ref_dx = mlp_reference_grads(net, mlp_reference_apply(net, x)[1], up)
+    assert np.array_equal(y, net.apply(x)[0])
+    assert np.array_equal(grad, ref_grad) and np.array_equal(dx, ref_dx)
+
+
+def test_input_only_and_params_only_backward_match_full_backward():
+    rng = np.random.default_rng(15)
+    for net in (Mlp([6, 8, 8, 3], ["relu", "tanh", "identity"], rng),
+                Mlp(ACCEPTANCE_CRITIC, ACTIVATION_SETS[0], rng, stack=2)):
+        x = rng.standard_normal((7, net.in_dim))
+        y, tape = net.apply(x)
+        up = rng.standard_normal(y.shape)
+        grad, dx = net.grads(tape, up)
+        none, dx_only = net.grads(tape, up, wrt="input")
+        grad_only, no_dx = net.grads(tape, up, wrt="params")
+        assert none is None and no_dx is None
+        assert np.array_equal(dx_only, dx) and np.array_equal(grad_only, grad)
+    with pytest.raises(ValueError):
+        net.grads(tape, up, wrt="weights")
+
+
+@pytest.mark.parametrize("acts", ACTIVATION_SETS, ids=["relu", "tanh", "mixed"])
+def test_stack_equals_independent_networks_bit_for_bit(acts):
+    # built from one seed, the stack draws member 0 then member 1, like two
+    # networks built one after the other
+    stack = Mlp(ACCEPTANCE_CRITIC, acts, np.random.default_rng(21), stack=2)
+    draws = np.random.default_rng(21)
+    nets = [Mlp(ACCEPTANCE_CRITIC, acts, draws) for _ in range(2)]
+    for i, net in enumerate(nets):
+        assert np.array_equal(stack.params[i], net.params)
+    rng = np.random.default_rng(22)
+    for x in (rng.standard_normal((128, 24)), rng.standard_normal(24)):
+        y, tape = stack.apply(x)
+        up = rng.standard_normal(y.shape)
+        grad, dx = stack.grads(tape, up)
+        for i, net in enumerate(nets):
+            y_i, tape_i = net.apply(x)
+            grad_i, dx_i = net.grads(tape_i, up[i])
+            assert np.array_equal(y[i], y_i)
+            assert np.array_equal(grad[i], grad_i) and np.array_equal(dx[i], dx_i)
+    opt = AdamState.for_net(stack)
+    adam_step(opt, stack.params, grad, 1e-3)
+    for i, net in enumerate(nets):
+        opt_i = AdamState.for_net(net)
+        adam_step(opt_i, net.params, grad[i], 1e-3)
+        assert np.array_equal(stack.params[i], net.params)
+
+
+def test_stack_members_are_views_sharing_parameters():
+    stack = Mlp([3, 4, 1], ["relu", "identity"], np.random.default_rng(23), stack=2)
+    first, second = stack.member(0), stack.member(1)
+    assert np.shares_memory(first.params, stack.params) and np.shares_memory(second.params, stack.params)
+    first.params[...] = 0.0
+    assert np.all(stack.params[0] == 0.0) and np.any(stack.params[1] != 0.0)
+    x = np.random.default_rng(24).standard_normal((5, 3))
+    assert np.array_equal(second.apply(x)[0], stack.apply(x)[0][1])
+    clone = stack.clone()
+    assert clone.stack == 2 and not np.shares_memory(clone.params, stack.params)
+    with pytest.raises(ValueError):
+        Mlp([3, 1], ["identity"]).member(0)
+
+
+def _textbook_adam(m, v, params, grads, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    m = b1 * m + (1 - b1) * grads
+    v = b2 * v + (1 - b2) * grads * grads
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    return m, v, params - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_adam_step_equals_textbook_formula_over_five_steps():
+    rng = np.random.default_rng(25)
+    params = rng.standard_normal(50)
+    state = AdamState(m=np.zeros(50), v=np.zeros(50))
+    m, v, ref = np.zeros(50), np.zeros(50), params.copy()
+    for t in range(1, 6):
+        g = rng.standard_normal(50)
+        adam_step(state, params, g, lr=1e-2)
+        m, v, ref = _textbook_adam(m, v, ref, g, t, 1e-2)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert np.array_equal(params, ref)
