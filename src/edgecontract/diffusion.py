@@ -199,8 +199,9 @@ class GdmAgent:
     The twin critics are one stacked network (``critics``, and
     ``target_critics`` for their targets) on a leading axis of 2;
     ``critic1``/``critic2`` are plain-network views of its two members.
-    The agent owns the batch buffers its chain and updates reuse, one set
-    per batch size.
+    Besides the networks' own workspaces, the agent reuses one chain cache
+    per batch size (see :meth:`_denoise_chain`); everything else a training
+    step computes is a fresh array.
     """
 
     def __init__(
@@ -232,46 +233,35 @@ class GdmAgent:
         self.actor_opt = AdamState.for_net(self.actor)
         self.critics_opt = AdamState.for_net(self.critics)
         self._coeffs = _denoise_coeffs(self.schedule)
-        self._buffers: dict[tuple, np.ndarray] = {}
-        self._chain_bufs: dict[tuple[int, bool], list[np.ndarray]] = {}
+        self._chains: dict[int, tuple[list[np.ndarray], np.ndarray, np.ndarray]] = {}
 
-    def _buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A reused array, one per name and shape; its contents are stale."""
-        buf = self._buffers.get((name, shape))
-        if buf is None:
-            buf = self._buffers[(name, shape)] = np.empty(shape)
-        return buf
-
-    def _chain_inputs(self, batch: int, record: bool) -> list[np.ndarray]:
-        """Actor input rows [x_k, state, one-hot(k)] for k = 1..K (index
-        k - 1), one set for recorded chains and one for the others; the
-        one-hot columns are filled in once."""
-        bufs = self._chain_bufs.get((batch, record))
-        if bufs is None:
+    def _chain_cache(self, batch: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """The reverse chain's arrays at one batch size: the actor input rows
+        [x_k, state, one-hot(k)] for k = 1..K (index k - 1), with the one-hot
+        columns filled in once, the chain state x and the injected noise."""
+        cache = self._chains.get(batch)
+        if cache is None:
             k_total, width = self.schedule.k, self.actor.in_dim
-            bufs = self._chain_bufs[(batch, record)] = [np.zeros((batch, width)) for _ in range(k_total)]
-            for k, buf in enumerate(bufs, start=1):
-                buf[:, width - k_total + k - 1] = 1.0
-        return bufs
+            inputs = [np.zeros((batch, width)) for _ in range(k_total)]
+            for k, inp in enumerate(inputs, start=1):
+                inp[:, width - k_total + k - 1] = 1.0
+            ad = action_dim(self.m, self.n)
+            cache = self._chains[batch] = (inputs, np.empty((batch, ad)), np.empty((batch, ad)))
+        return cache
 
     # -- action generation -------------------------------------------------
 
-    def _denoise_chain(self, s_batch: np.ndarray, rng: np.random.Generator, actor: Mlp, record: bool,
-                       out: np.ndarray | None = None):
+    def _denoise_chain(self, s_batch: np.ndarray, rng: np.random.Generator, actor: Mlp, record: bool):
         """Run the reverse chain on a batch; optionally keep tapes for backprop.
 
-        Returns ``(u, x, tapes)``.  ``u = tanh(x)`` goes to ``out``, or to a
-        fresh array; ``x``, the last chain state, is an agent buffer that
-        the next chain at this batch size overwrites.  With ``record`` the
-        tapes, one per step k = K..1, stay valid until the next recorded
-        chain at this batch size.
+        Returns ``(u, x, tapes)``: ``u = tanh(x)`` is a fresh array, while
+        ``x``, the last chain state, and with ``record`` the tapes, one per
+        step k = K..1, live in the chain cache of this batch size and stay
+        valid until the next chain at that batch size.
         """
         batch = s_batch.shape[0]
         ad = action_dim(self.m, self.n)
-        inputs = self._chain_inputs(batch, record)
-        x = self._buffer("chain_x", (batch, ad))
-        eps = self._buffer("chain_eps", (batch, ad))
-        noise = self._buffer("chain_noise", (batch, ad))
+        inputs, x, noise = self._chain_cache(batch)
         rng.standard_normal(out=x)
         tapes = []
         for k in range(self.schedule.k, 0, -1):
@@ -279,7 +269,7 @@ class GdmAgent:
             inp[:, :ad] = x
             inp[:, ad : ad + s_batch.shape[1]] = s_batch
             inv_sqrt_lam, eps_coeff, noise_coeff = self._coeffs[k - 1]
-            _, tape = actor.apply(inp, eps, k if record else None)
+            eps, tape = actor.apply(inp, slot=k if record else None)
             # x_{k-1} = inv_sqrt_lam x_k - eps_coeff eps (+ noise_coeff z), in place
             x *= inv_sqrt_lam
             eps *= eps_coeff
@@ -290,12 +280,11 @@ class GdmAgent:
                 x += noise
             if record:
                 tapes.append((k, tape, inv_sqrt_lam, eps_coeff))
-        return np.tanh(x, out=out), x, tapes
+        return np.tanh(x), x, tapes
 
-    def act_batch(self, s_batch: np.ndarray, rng: np.random.Generator, target: bool = False,
-                  out: np.ndarray | None = None) -> np.ndarray:
+    def act_batch(self, s_batch: np.ndarray, rng: np.random.Generator, target: bool = False) -> np.ndarray:
         actor = self.target_actor if target else self.actor
-        u, _, _ = self._denoise_chain(s_batch, rng, actor, record=False, out=out)
+        u, _, _ = self._denoise_chain(s_batch, rng, actor, record=False)
         return u
 
 
@@ -401,35 +390,22 @@ def critic_update(agent: GdmAgent, batch, rng: np.random.Generator) -> tuple[flo
     one Adam step on the stacked parameters.
     """
     s, a, r, s_next, d = batch
-    batch_size, sd = s.shape
-    buf = agent._buffer
-    sa_next = buf("sa_next", (batch_size, agent.critics.in_dim))
-    sa_next[:, :sd] = s_next
-    agent.act_batch(s_next, rng, target=True, out=sa_next[:, sd:])
-    q_next, _ = agent.target_critics.apply(sa_next, buf("q", (2, batch_size, 1)), None)
-    q_min = np.minimum(q_next[0, :, 0], q_next[1, :, 0], out=buf("q_min", (batch_size,)))
-    target = np.subtract(1.0, d, out=buf("q_target", (batch_size,)))
-    target *= agent.hp.gamma
-    target *= q_min
-    target += r
+    batch_size = s.shape[0]
+    sa_next = np.concatenate([s_next, agent.act_batch(s_next, rng, target=True)], axis=1)
+    q_next, _ = agent.target_critics.apply(sa_next, slot=None)
+    target = (1.0 - d) * agent.hp.gamma * np.minimum(q_next[0, :, 0], q_next[1, :, 0]) + r
 
-    sa = buf("sa", sa_next.shape)
-    sa[:, :sd] = s
-    sa[:, sd:] = a
-    q, tape = agent.critics.apply(sa, buf("q", (2, batch_size, 1)))
-    err = np.subtract(q[:, :, 0], target, out=buf("err", (2, batch_size)))
-    sq = np.square(err, out=buf("err_sq", (2, batch_size)))
+    q, tape = agent.critics.apply(np.concatenate([s, a], axis=1))
+    err = q[:, :, 0] - target
+    sq = np.square(err)
     losses = float(np.mean(sq[0])), float(np.mean(sq[1]))
-    upstream = np.multiply(err, 2.0, out=sq)
-    upstream /= batch_size
-    grad, _ = agent.critics.grads(tape, upstream[:, :, None], buf("critic_grad", agent.critics.params.shape),
-                                  wrt="params")
+    upstream = err * 2.0 / batch_size
+    grad, _ = agent.critics.grads(tape, upstream[:, :, None], wrt="params")
     adam_step(agent.critics_opt, agent.critics.params, grad, agent.hp.critic_lr)
     return losses
 
 
-def actor_gradient(agent: GdmAgent, s_batch: np.ndarray, rng: np.random.Generator,
-                   out: np.ndarray | None = None):
+def actor_gradient(agent: GdmAgent, s_batch: np.ndarray, rng: np.random.Generator):
     """Loss -mean Q1(s, policy(s)) and its gradient w.r.t. actor parameters.
 
     The gradient flows backward through the squash and every step of the
@@ -437,59 +413,38 @@ def actor_gradient(agent: GdmAgent, s_batch: np.ndarray, rng: np.random.Generato
     discourages saturated actions (a crude stand-in for the intractable
     policy entropy).  Returns ``(loss, grad)`` with ``grad`` aligned with
     ``agent.actor.params`` and pointing in the descent direction of the
-    loss; ``grad`` goes to ``out`` when given, else to a fresh array.
+    loss.
     """
     s = s_batch
     batch_size, sd = s.shape
     ad = action_dim(agent.m, agent.n)
-    buf = agent._buffer
-    u, _, tapes = agent._denoise_chain(s, rng, agent.actor, record=True, out=buf("u", (batch_size, ad)))
-    sa = buf("sa", (batch_size, agent.critics.in_dim))
-    sa[:, :sd] = s
-    sa[:, sd:] = u
+    u, _, tapes = agent._denoise_chain(s, rng, agent.actor, record=True)
 
-    q, tape = agent.critic1.apply(sa, buf("q1", (batch_size, 1)))
+    q, tape = agent.critic1.apply(np.concatenate([s, u], axis=1))
     loss = -float(np.mean(q[:, 0]))
 
-    upstream = buf("q1_upstream", (batch_size, 1))
-    upstream.fill(1.0 / batch_size)
-    _, sa_grad = agent.critic1.grads(tape, upstream, dx_out=buf("sa_grad", sa.shape), wrt="input")
+    _, sa_grad = agent.critic1.grads(tape, np.full((batch_size, 1), 1.0 / batch_size), wrt="input")
     du = sa_grad[:, sd:]
-    g, tmp = buf("chain_g", (batch_size, ad)), buf("chain_tmp", (batch_size, ad))
     if agent.hp.varpi > 0:
-        np.multiply(u, agent.hp.varpi * 2.0, out=tmp)
-        tmp /= batch_size
-        np.subtract(du, tmp, out=g)
-    else:
-        np.copyto(g, du)
-    # through tanh: g = du * max(1 - u^2, floor)
-    np.square(u, out=tmp)
-    np.subtract(1.0, tmp, out=tmp)
-    np.maximum(tmp, agent.hp.tanh_grad_floor, out=tmp)
-    g *= tmp
+        du = du - u * (agent.hp.varpi * 2.0) / batch_size
+    g = du * np.maximum(1.0 - np.square(u), agent.hp.tanh_grad_floor)  # through tanh
 
-    total = np.zeros_like(agent.actor.params) if out is None else out
-    total.fill(0.0)
-    step_grad = buf("actor_step_grad", agent.actor.params.shape)
-    in_grad = buf("actor_in_grad", (batch_size, agent.actor.in_dim))
+    total = np.zeros_like(agent.actor.params)
     # tapes were recorded k = K..1; backprop consumes them in reverse (k = 1..K)
     for k, tape, inv_sqrt_lam, eps_coeff in reversed(tapes):
         last = k == agent.schedule.k
-        np.multiply(g, -eps_coeff, out=tmp)
-        agent.actor.grads(tape, tmp, step_grad, in_grad, wrt="params" if last else "both")
+        step_grad, in_grad = agent.actor.grads(tape, g * -eps_coeff, wrt="params" if last else "both")
         total += step_grad
         if not last:
-            g *= inv_sqrt_lam
-            g += in_grad[:, :ad]
+            g = g * inv_sqrt_lam + in_grad[:, :ad]
 
     # total accumulates the ascent direction of Q; negate for the loss
-    return loss, np.negative(total, out=total)
+    return loss, -total
 
 
 def actor_update(agent: GdmAgent, batch, rng: np.random.Generator) -> float:
     """One Q-guided policy-gradient step on the actor (see actor_gradient)."""
-    grad = agent._buffer("actor_grad", agent.actor.params.shape)
-    loss, _ = actor_gradient(agent, batch[0], rng, out=grad)
+    loss, grad = actor_gradient(agent, batch[0], rng)
     adam_step(agent.actor_opt, agent.actor.params, grad, agent.hp.actor_lr)
     return loss
 
@@ -500,7 +455,7 @@ def soft_update(agent: GdmAgent, tau: float | None = None) -> None:
     t = agent.hp.tau if tau is None else tau
     for online, target in ((agent.actor, agent.target_actor), (agent.critics, agent.target_critics)):
         target.params *= 1.0 - t
-        target.params += np.multiply(online.params, t, out=agent._buffer("blend", online.params.shape))
+        target.params += online.params * t
 
 
 class ContractEnv:
@@ -510,10 +465,9 @@ class ContractEnv:
     draws a fresh scenario per step, otherwise the scenario is fixed.
     """
 
-    def __init__(self, scenario_fn, bounds: ActionBounds, resample_each_step: bool = False,
+    def __init__(self, scenario_fn, resample_each_step: bool = False,
                  penalty_weight: float = 1.0, violations_only: bool = False):
         self.scenario_fn = scenario_fn
-        self.bounds = bounds
         self.resample_each_step = resample_each_step
         self.penalty_weight = penalty_weight
         self.violations_only = violations_only

@@ -132,7 +132,6 @@ def run_training(cfg: ExperimentConfig) -> tuple[RunRecord, GdmAgent, Scenario]:
     agent = build_agent(cfg)
     env = ContractEnv(
         scenario_fn=lambda r: sample_scenario(cfg, r),
-        bounds=cfg.bounds(),
         resample_each_step=cfg.training.resample_each_step,
         penalty_weight=cfg.training.penalty_weight,
         violations_only=cfg.training.violations_only,

@@ -16,9 +16,9 @@ targets, as stacks of 2.
 Memory.  Each network keeps workspaces per input row count and reuses them
 on every call: one tape per ``slot`` (per-layer pre-activations and hidden
 activations), one buffer per layer for forward-only passes (``slot=None``)
-and one set of backward scratch.  The caller owns everything a call
-returns: ``apply``'s output and ``grads``' gradients are fresh arrays, or
-the caller's own ``out=`` arrays.  A tape is the exception: it is a view of
+and one set of backward scratch.  These workspaces are the only arrays a
+network reuses.  ``apply``'s output and ``grads``' gradients are always
+fresh arrays that the caller owns.  A tape is the exception: it is a view of
 the workspace and stays valid only until the next ``apply`` with the same
 row count and slot.
 """
@@ -144,14 +144,13 @@ class Mlp:
             scratch = self._scratch[rows] = (g, derivs)
         return scratch
 
-    def apply(self, x: np.ndarray, out: np.ndarray | None = None,
-              slot: int | None = 0) -> tuple[np.ndarray, GradTape | None]:
-        """Forward pass returning the output and the gradient tape of ``slot``.
+    def apply(self, x: np.ndarray, slot: int | None = 0) -> tuple[np.ndarray, GradTape | None]:
+        """Forward pass returning a fresh output array and the gradient tape
+        of ``slot``.
 
         ``slot=None`` runs a forward-only pass and returns no tape.  A
         stacked network takes a shared (rows, in) input or one per member,
-        (S, rows, in), and returns (S, rows, out).  The output is written to
-        ``out`` when given, else to a fresh array.
+        (S, rows, in), and returns (S, rows, out).
         """
         x = np.asarray(x, dtype=float)
         batched = x.ndim >= 2
@@ -171,22 +170,17 @@ class Mlp:
             elif act == "tanh":
                 np.tanh(z, out=a)
             h = a
-        y = h if batched else h[..., 0, :]
-        if out is None:
-            return y.copy(), tape
-        np.copyto(out, y)
-        return out, tape
+        return (h if batched else h[..., 0, :]).copy(), tape
 
-    def grads(self, tape: GradTape, upstream: np.ndarray, out: np.ndarray | None = None,
-              dx_out: np.ndarray | None = None, wrt: str = "both") -> tuple[np.ndarray | None, np.ndarray | None]:
+    def grads(self, tape: GradTape, upstream: np.ndarray,
+              wrt: str = "both") -> tuple[np.ndarray | None, np.ndarray | None]:
         """Gradients of sum(output * upstream) w.r.t. ``params`` and the input.
 
-        Returns ``(grad, dx)``: ``grad`` is aligned with ``params`` and summed
-        over the batch, ``dx`` keeps the batch axis of the forward input.
-        ``wrt="params"`` skips the input gradient and ``wrt="input"`` the
-        parameter gradient; the skipped one is returned as None.  ``grad``
-        goes to ``out`` and ``dx`` to ``dx_out`` when given, else to fresh
-        arrays.
+        Returns ``(grad, dx)`` as fresh arrays: ``grad`` is aligned with
+        ``params`` and summed over the batch, ``dx`` keeps the batch axis of
+        the forward input.  ``wrt="params"`` skips the input gradient and
+        ``wrt="input"`` the parameter gradient; the skipped one is returned
+        as None.
         """
         if wrt not in ("both", "params", "input"):
             raise ValueError(f"unknown wrt {wrt!r}")
@@ -195,7 +189,7 @@ class Mlp:
         g_bufs, d_bufs = self._backward_scratch(tape.preacts[0].shape[-2])
         grad = None
         if wrt != "input":
-            grad = np.empty_like(self.params) if out is None else out
+            grad = np.empty_like(self.params)
             dws, dbs = self._layer_views(grad)
         for i in reversed(range(len(self.weights))):
             act, z, d = self.activations[i], tape.preacts[i], d_bufs[i]
@@ -213,11 +207,7 @@ class Mlp:
             if i == 0 and wrt == "params":
                 return grad, None
             g = np.matmul(g, self._weights_t[i], out=g_bufs[i])
-        dx = g if tape.batched else g[..., 0, :]
-        if dx_out is None:
-            return grad, dx.copy()
-        np.copyto(dx_out, dx)
-        return grad, dx_out
+        return grad, (g if tape.batched else g[..., 0, :]).copy()
 
     def copy_from(self, other: "Mlp") -> None:
         self.params[...] = other.params

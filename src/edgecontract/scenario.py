@@ -170,7 +170,7 @@ _SECTIONS = {
 
 
 def _parse_value(text: str, kind):
-    if kind is bool or kind == "bool":
+    if kind is bool:
         low = text.strip().lower()
         if low in ("true", "1", "yes", "on"):
             return True
@@ -181,8 +181,6 @@ def _parse_value(text: str, kind):
         return int(text)
     if kind is float:
         return float(text)
-    if kind is str:
-        return text
     # tuple[float, float] ranges, comma separated
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 2:
@@ -213,15 +211,11 @@ def load_config(path: str | None = None, text: str | None = None) -> ExperimentC
         if section not in _SECTIONS:
             raise ValueError(f"unknown config section [{section}]")
         target = getattr(cfg, section)
-        known = {f.name: f.type for f in fields(target)}
-        type_map = {f.name: type(getattr(target, f.name)) for f in fields(target)}
+        known = {f.name for f in fields(target)}
         for key, val in parser.items(section):
             if key not in known:
                 raise ValueError(f"unknown key [{section}] {key}")
-            kind = type_map[key]
-            if kind is tuple:
-                kind = "range"
-            setattr(target, key, _parse_value(val, kind if kind != "range" else tuple))
+            setattr(target, key, _parse_value(val, type(getattr(target, key))))
     _validate(cfg)
     return cfg
 

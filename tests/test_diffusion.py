@@ -340,7 +340,7 @@ def _env(resample=False):
     def scenario_fn(rng):
         return _scenario(rng)
 
-    return df.ContractEnv(scenario_fn, df.ActionBounds(), resample_each_step=resample)
+    return df.ContractEnv(scenario_fn, resample_each_step=resample)
 
 
 def test_train_zero_episodes_returns_empty_log():

@@ -294,6 +294,24 @@ def test_cli_seed_flag_beats_env(tmp_path, monkeypatch):
     assert summary.split(",")[1] == "4"
 
 
+def test_cli_sweep_writes_one_log_per_setting(tmp_path):
+    cfgfile = tmp_path / "sweep.ini"
+    cfgfile.write_text("[training]\nepisodes = 4\nsteps = 2\nbatch_size = 16\n"
+                       "hidden_width = 8\nhidden_layers = 1\n")
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", str(cfgfile), "--param", "kappa", "--out", str(out)])
+    for value in harness.KAPPA_SWEEP:
+        log = (out / f"sweep_kappa_{value}.csv").read_text().splitlines()
+        assert log[0] == ",".join(harness.LOG_COLUMNS)
+        assert len(log) == 1 + 4 * 2
+    summary = (out / "sweep_kappa_summary.csv").read_text().splitlines()
+    assert summary[0] == "kappa,final_mean_reward"
+    assert [float(row.split(",")[0]) for row in summary[1:]] == list(harness.KAPPA_SWEEP)
+    finals = [float(row.split(",")[1]) for row in summary[1:]]
+    nonincreasing = all(a >= b for a, b in zip(finals, finals[1:]))
+    assert code == (0 if nonincreasing else 1)
+
+
 def _cli_fails_cleanly(argv, capsys) -> None:
     """Exit code 2 and exactly one stderr line, no traceback."""
     assert cli.main(argv) == 2

@@ -244,18 +244,22 @@ def test_recorded_slots_keep_their_tapes():
     assert tape is None and np.array_equal(y, net.apply(x1)[0])
 
 
-def test_out_arguments_receive_the_results():
+def test_tapes_reuse_one_workspace_per_slot_and_share_it_with_stack_members():
+    # the reuse that keeps a training step from allocating: repeated passes
+    # at one row count and slot write into one workspace, and a stack
+    # member writes into its slice of the stack's
     rng = np.random.default_rng(14)
     net = Mlp([3, 5, 2], ["relu", "identity"], rng)
-    x, up = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
-    y = np.empty((4, 2))
-    grad, dx = np.empty_like(net.params), np.empty((4, 3))
-    got_y, tape = net.apply(x, y)
-    got_grad, got_dx = net.grads(tape, up, grad, dx)
-    assert got_y is y and got_grad is grad and got_dx is dx
-    ref_grad, ref_dx = mlp_reference_grads(net, mlp_reference_apply(net, x)[1], up)
-    assert np.array_equal(y, net.apply(x)[0])
-    assert np.array_equal(grad, ref_grad) and np.array_equal(dx, ref_dx)
+    x1, x2 = rng.standard_normal((2, 4, 3))
+    _, tape1 = net.apply(x1, slot=1)
+    _, tape2 = net.apply(x2, slot=1)
+    for z1, z2 in zip(tape1.preacts, tape2.preacts):
+        assert np.shares_memory(z1, z2)
+    stack = Mlp([3, 5, 2], ["relu", "identity"], rng, stack=2)
+    _, stack_tape = stack.apply(x1)
+    _, member_tape = stack.member(1).apply(x1)
+    for z_stack, z_member in zip(stack_tape.preacts, member_tape.preacts):
+        assert np.shares_memory(z_stack, z_member)
 
 
 def test_input_only_and_params_only_backward_match_full_backward():
