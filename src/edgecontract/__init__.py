@@ -4,7 +4,7 @@ Subpackages:
 
 * :mod:`edgecontract.econ` — utility mathematics and domain types
 * :mod:`edgecontract.feasibility` — IR/IC checking and minimal-reward recovery
-* :mod:`edgecontract.solver` — exhaustive monotone grid search
+* :mod:`edgecontract.solver` — exact (bounded) monotone grid search
 * :mod:`edgecontract.nn` — minimal MLP with analytic gradients
 * :mod:`edgecontract.diffusion` — denoising-diffusion contract policy
 * :mod:`edgecontract.scenario` / :mod:`edgecontract.harness` — experiments

@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, doc in (
-        ("solve", "exhaustive monotone grid search for the optimal menu"),
+        ("solve", "exact (bounded) monotone grid search for the optimal menu"),
         ("train", "train the diffusion contract policy"),
         ("verify", "run feasibility property suites (or re-check a menu CSV)"),
         ("sweep", "train across a preference parameter sweep"),

@@ -82,7 +82,7 @@ def _menu_rows(menu: ContractMenu) -> list[list]:
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
-    """Exhaustive monotone grid search plus local refinement; emits the menu."""
+    """Exact (bounded) monotone grid search plus local refinement; emits the menu."""
     out = Path(out_dir or cfg.out_dir)
     rng = np.random.default_rng(cfg.seed)
     sc = sample_scenario(cfg, rng)

@@ -6,10 +6,25 @@ prospect-theory expected utility, and optionally refines the winner with a
 derivative-free pattern search.  Minimal rewards are optimal because the
 objective is nonincreasing in every reward entry.
 
-Both searches complete and score through one batched route,
-:func:`feasibility.minimal_rewards` then :func:`econ.pt_objective` on the
-feasible rows: :func:`solve_grid` passes fixed-size chunks of candidates,
-:func:`refine_local` one probe at a time.
+Both searches are exact: each returns, bit for bit, what completing and
+scoring every candidate (every probe) one at a time returns, but completes
+only the ones that can change the answer.  Both complete and score through
+one batched route, :func:`feasibility.minimal_rewards` then
+:func:`econ.pt_objective` on the feasible rows.
+
+* :func:`solve_grid` is a best-first branch and bound (Land & Doig 1960)
+  over b-grids.  Minimal rewards never fall below the IR bounds
+  ``b^2/theta + f^2/sigma``, ``pt_value`` is nondecreasing and the weights
+  are nonnegative, so scoring a b-grid at the IR rewards with, cell by cell,
+  its best f level bounds every candidate that shares the b-grid.  b-grids
+  are visited in descending bound order, in passes of at most
+  :data:`CHUNK` candidates, until a bound falls strictly below the
+  incumbent; ties go to the lower b-major, f-minor index.
+* :func:`refine_local` is a Hooke & Jeeves (1961) coordinate search.  Its
+  probe order does not depend on the objective values it sees until a probe
+  improves, so from each point it builds the whole probe sequence the
+  sequential loop would run if nothing improved, scores it in one batch,
+  and accepts the first improving probe in sequence order.
 """
 
 from __future__ import annotations
@@ -26,7 +41,9 @@ from .econ import (
     PTParams,
     SensitivityParams,
     TypeGrid,
+    _buyer_utilities,
     pt_objective,
+    pt_value,
 )
 from .feasibility import minimal_rewards, monotone_descents
 
@@ -44,7 +61,14 @@ CHUNK = 768
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Search box and resolution for the exhaustive monotone enumeration."""
+    """Search box and resolution of the exact search.
+
+    :func:`solve_grid` searches the monotone grids over ``grid_points``
+    evenly spaced levels of each range, b-grids in descending bound order;
+    :func:`refine_local` starts its pattern search at the level spacing and
+    runs at most ``refine_iters`` sweeps, halving the step after each sweep
+    that does not improve.
+    """
 
     b_range: tuple[float, float] = (0.0, 10.0)
     f_range: tuple[float, float] = (0.0, 3.0)
@@ -62,6 +86,13 @@ class SearchSpec:
 
 @dataclass
 class SolveResult:
+    """A menu, its PT objective and the search work behind it.
+
+    ``evaluations`` counts, for :func:`solve_grid`, the candidates the search
+    covers, each either scored or bounded out: every monotone (b, f) pair.
+    :func:`refine_local` adds the feasible probes it scores.
+    """
+
     menu: ContractMenu
     objective: float
     evaluations: int
@@ -100,6 +131,33 @@ def _complete_and_score(b, f, grid, ch, hmd, sens, pt):
     return r, feasible, obj
 
 
+def _b_grid_bounds(b_levels, f_levels, b_idx, grid, ch, hmd, sens, pt):
+    """An upper bound on the PT objective of every candidate whose b-grid is
+    ``b_levels[b_idx[k]]``, one per k; a NaN bound never prunes.
+
+    Each b-grid is scored by :func:`pt_objective` at the IR rewards with,
+    cell by cell, the f level that scores best there.  The IR rewards use the
+    expression :func:`feasibility.minimal_rewards` starts from, and that
+    function only raises them, so the bound holds in floating point too.
+    """
+    inv_t = (1.0 / grid.theta)[:, None]
+    inv_s = (1.0 / grid.sigma)[None, :]
+
+    def ir_rewards(b, f):
+        return np.square(b) * inv_t + np.square(f) * inv_s
+
+    # (b level, f level, M, N) table of per-cell values at the IR rewards
+    shape = (len(b_levels), len(f_levels), grid.m, grid.n)
+    b = np.broadcast_to(b_levels[:, None, None, None], shape).copy()
+    f = np.broadcast_to(f_levels[None, :, None, None], shape).copy()
+    value = pt_value(_buyer_utilities(b, f, ir_rewards(b, f), ch, hmd, sens), pt)
+    best_f = f_levels[np.argmax(value, axis=1)]  # (b level, M, N)
+
+    b_cands = b_levels[b_idx]
+    f_best = best_f[b_idx, np.arange(grid.m)[:, None], np.arange(grid.n)]
+    return pt_objective(b_cands, f_best, ir_rewards(b_cands, f_best), grid, ch, hmd, sens, pt)
+
+
 def solve_grid(
     spec: SearchSpec,
     grid: TypeGrid,
@@ -108,28 +166,48 @@ def solve_grid(
     sens: SensitivityParams,
     pt: PTParams,
 ) -> SolveResult:
-    """Exhaustive search over monotone (b, f) grid assignments.
+    """Exact (bounded) search over monotone (b, f) grid assignments.
 
-    Candidates run b-major, f-minor; the first one with the largest objective
-    wins.  Candidates with a positive IC cycle are not implementable and are
-    skipped, and a NaN objective never wins.
+    Returns the candidate with the largest objective, the first in b-major,
+    f-minor order among equals.  Candidates with a positive IC cycle are not
+    implementable and are skipped, and a NaN objective never wins.
+
+    b-grids are visited in descending order of their bound (equal bounds in
+    index order), each with all its f-grids, in passes of at most
+    :data:`CHUNK` candidates; the search stops at the first b-grid whose
+    bound is strictly below the best objective found.  ``evaluations`` is
+    every candidate, scored or bounded out.
     """
     b_levels = np.linspace(spec.b_range[0], spec.b_range[1], spec.grid_points)
     f_levels = np.linspace(spec.f_range[0], spec.f_range[1], spec.grid_points)
-    b_cands = monotone_grids(b_levels, grid.m, grid.n)
+    b_idx = monotone_grids(np.arange(spec.grid_points), grid.m, grid.n).astype(int)
+    b_cands = b_levels[b_idx]
     f_cands = monotone_grids(f_levels, grid.m, grid.n)
     n_f = len(f_cands)
     total = len(b_cands) * n_f
 
+    bound = _b_grid_bounds(b_levels, f_levels, b_idx, grid, ch, hmd, sens, pt)
+    bound = np.where(np.isnan(bound), np.inf, bound)
+    visit = np.argsort(-bound, kind="stable")
+    bound = bound[visit]
+
     best_k, best_obj, best_r = -1, -np.inf, None
-    for start in range(0, total, CHUNK):
-        k = np.arange(start, min(start + CHUNK, total))
+    start = 0
+    while True:
+        # the b-grids still in play are a prefix of the visit order
+        live = int(np.count_nonzero(bound >= best_obj)) * n_f
+        if start >= live:
+            break
+        j = np.arange(start, min(start + CHUNK, live))
+        k = visit[j // n_f] * n_f + j % n_f
         r, _, obj = _complete_and_score(
             b_cands[k // n_f], f_cands[k % n_f], grid, ch, hmd, sens, pt
         )
-        i = int(np.argmax(obj))
-        if obj[i] > best_obj:
-            best_k, best_obj, best_r = start + i, float(obj[i]), r[i]
+        top = obj.max()
+        i = int(np.argmin(np.where(obj == top, k, total)))  # lowest index among the best
+        if top > best_obj or (top == best_obj and k[i] < best_k):
+            best_k, best_obj, best_r = int(k[i]), float(top), r[i]
+        start += len(j)
     if best_k < 0:
         raise FloatingPointError("no monotone candidate has a comparable PT objective")
     menu = ContractMenu(b=b_cands[best_k // n_f], f=f_cands[best_k % n_f], r=best_r)
@@ -147,9 +225,18 @@ def refine_local(
 ) -> SolveResult:
     """Coordinate pattern search around a feasible solution.
 
-    Probes +/- step moves on every b and f entry, keeps moves that improve
-    the objective while preserving monotonicity and the search box, and
-    halves the step until convergence (1e-6 relative) or the iteration cap.
+    Each sweep probes a +/- step move on every b entry, then every f entry,
+    accepts each move that improves the objective while keeping
+    monotonicity and the search box, and after a sweep without a move halves
+    the step, until it falls below 1e-6 of the box or ``refine_iters``
+    sweeps have run.
+
+    From the current point, the probes that loop would run if nothing
+    improved (the rest of this sweep, then every later sweep at halved
+    steps) are filtered and scored in one batch; the first improving one in
+    sequence order is accepted, and the search resumes just after it.  That
+    is one batch per accepted move, plus one.  ``evaluations`` grows by the
+    feasible probes the sequential loop would have scored.
     """
     # b and f stacked on axis 0, with their box and step per axis
     x = np.stack([result.menu.b, result.menu.f])
@@ -160,29 +247,47 @@ def refine_local(
     best_obj, best_r = result.objective, result.menu.r
     evals = result.evaluations
 
-    for _ in range(spec.refine_iters):
-        improved = False
-        for axis, m, n, sgn in itertools.product(
-            range(2), range(grid.m), range(grid.n), (+1.0, -1.0)
-        ):
-            trial = x.copy()
-            trial[axis, m, n] += sgn * step[axis]
-            if np.any(trial < lo) or np.any(trial > hi):
-                continue
-            # minimal_rewards does not check monotonicity itself
-            if monotone_descents(trial).any():
-                continue
-            r, feasible, obj = _complete_and_score(
-                trial[:1], trial[1:], grid, ch, hmd, sens, pt
-            )
-            evals += int(feasible[0])
-            if obj[0] > best_obj:
-                x, best_obj, best_r = trial, float(obj[0]), r[0]
-                improved = True
-        if not improved:
-            step *= 0.5
-            if np.max(step) < min_step:
-                break
+    # the moves of one sweep in probe order, one array per coordinate
+    axis, m, n, sgn = (
+        np.array(c)
+        for c in zip(*itertools.product(range(2), range(grid.m), range(grid.n), (+1.0, -1.0)))
+    )
+    n_moves = len(sgn)
+
+    sweep, first, improved = 0, 0, False
+    while sweep < spec.refine_iters:
+        # (sweep, first move, step) of every sweep left if no probe improves
+        plan, s, halve = [], step, not improved
+        for t in range(sweep, spec.refine_iters):
+            plan.append((t, first if t == sweep else 0, s))
+            if halve:
+                s = s * 0.5
+                if np.max(s) < min_step:
+                    break
+            halve = True
+        which = np.concatenate([np.full(n_moves - p, i) for i, (_, p, _) in enumerate(plan)])
+        move = np.concatenate([np.arange(p, n_moves) for _, p, _ in plan])
+        delta = sgn[move] * np.stack([s for *_, s in plan])[which, axis[move]]
+        trials = np.repeat(x[None], len(move), axis=0)
+        trials[np.arange(len(move)), axis[move], m[move], n[move]] += delta
+        # minimal_rewards does not check monotonicity itself
+        keep = ~(
+            np.any((trials < lo) | (trials > hi), axis=(1, 2, 3))
+            | monotone_descents(trials).any(axis=(1, 2, 3, 4))
+        )
+        trials, which, move = trials[keep], which[keep], move[keep]
+        r, feasible, obj = _complete_and_score(
+            trials[:, 0], trials[:, 1], grid, ch, hmd, sens, pt
+        )
+        better = np.flatnonzero(obj > best_obj)
+        if not len(better):
+            evals += int(np.count_nonzero(feasible))
+            break
+        q = better[0]
+        evals += int(np.count_nonzero(feasible[: q + 1]))
+        x, best_obj, best_r = trials[q], float(obj[q]), r[q]
+        sweep, _, step = plan[which[q]]
+        first, improved = move[q] + 1, True
 
     menu = ContractMenu(b=x[0], f=x[1], r=best_r)
     return SolveResult(menu=menu, objective=best_obj, evaluations=evals)

@@ -1,6 +1,7 @@
-"""Exhaustive monotone grid search and local refinement."""
+"""Exact (bounded) monotone grid search and local refinement."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,6 +174,89 @@ def test_solve_grid_never_picks_nan_objective(rng, monkeypatch):
         solve_grid(spec, *args)
 
 
+@pytest.mark.parametrize("shape,points", [((2, 2), 3), ((2, 3), 3), ((3, 3), 3), ((2, 2), 5)],
+                         ids=["2x2", "2x3", "3x3", "2x2-5pts"])
+def test_b_grid_bound_covers_every_candidate_sharing_it(rng, shape, points):
+    b_levels = np.linspace(0.0, 10.0, points)
+    f_levels = np.linspace(0.0, 3.0, points)
+    b_idx = monotone_grids(np.arange(points), *shape).astype(int)
+    f_cands = monotone_grids(f_levels, *shape)
+    weighted = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=2.25, u_ref=10.0,
+                        weight_coeff=0.7, use_weighting=True)
+    for pt in (_pt(), weighted):
+        grid = make_grid(rng, *shape)
+        args = (
+            grid,
+            simple_channel(d=rng.uniform(10.0, 80.0, shape)),
+            simple_hmd(s_eff=rng.uniform(1.5, 3.0, shape), mu=rng.uniform(0.2, 1.0, shape)),
+            simple_sens(),
+            pt,
+        )
+        bound = solver._b_grid_bounds(b_levels, f_levels, b_idx, *args)
+        assert bound.shape == (len(b_idx),) and np.all(np.isfinite(bound))
+        scored = 0
+        for i, b in enumerate(b_levels[b_idx]):
+            b_stack = np.broadcast_to(b, f_cands.shape)
+            _, feasible, obj = solver._complete_and_score(b_stack, f_cands, *args)
+            assert np.all(obj[feasible] <= bound[i]), i
+            scored += np.count_nonzero(feasible)
+        assert scored > 0
+
+
+def test_solve_grid_completes_fewer_candidates_than_it_covers(monkeypatch):
+    sc = sample_scenario(ExperimentConfig(), np.random.default_rng((17, 0)))
+    args = (sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
+    spec = SearchSpec(grid_points=5)
+    menu, obj, evals = _per_candidate_solve(spec, *args)
+    real = solver._complete_and_score
+    rows = 0
+
+    def counting(b, *a):
+        nonlocal rows
+        rows += len(b)
+        return real(b, *a)
+
+    monkeypatch.setattr(solver, "_complete_and_score", counting)
+    result = solve_grid(spec, *args)
+    assert rows < evals == result.evaluations
+    assert result.objective == obj
+    for field in ("b", "f", "r"):
+        assert np.array_equal(getattr(result.menu, field), getattr(menu, field)), field
+
+
+def test_solve_grid_answer_holds_under_any_valid_bound(rng, monkeypatch):
+    # objectives floored to multiples of 5 tie across about a third of the
+    # b-grids; a bound at or above each b-grid's best objective must give
+    # the first-index answer whatever order it visits them in.  Zero slack
+    # puts a bound exactly on the incumbent (pruned only when strictly
+    # below), random slack visits tied b-grids out of index order, and a NaN
+    # bound never prunes
+    grid = make_grid(rng)
+    args = (grid, simple_channel(), simple_hmd(), simple_sens(), _pt())
+    spec = SearchSpec(grid_points=5)
+    real = econ.pt_objective
+    monkeypatch.setattr(econ, "pt_objective", lambda *a: np.floor(real(*a) / 5.0) * 5.0)
+    monkeypatch.setattr(solver, "pt_objective", econ.pt_objective)
+    menu, obj, _ = _per_candidate_solve(spec, *args)
+    b_cands = monotone_grids(np.linspace(0.0, 10.0, 5), 2, 2)
+    f_cands = monotone_grids(np.linspace(0.0, 3.0, 5), 2, 2)
+    tightest = np.array([
+        solver._complete_and_score(np.broadcast_to(b, f_cands.shape), f_cands, *args)[2].max()
+        for b in b_cands
+    ])
+    assert np.count_nonzero(tightest == obj) > 1
+    for draw in range(20):
+        slack = np.where(rng.random(len(tightest)) < 0.5, 0.0, rng.uniform(0.0, 1.0, len(tightest)))
+        bound = tightest + slack
+        if draw % 2:
+            bound[rng.random(len(bound)) < 0.5] = np.nan
+        monkeypatch.setattr(solver, "_b_grid_bounds", lambda *a: bound.copy())
+        result = solve_grid(spec, *args)
+        assert result.objective == obj
+        for field in ("b", "f", "r"):
+            assert np.array_equal(getattr(result.menu, field), getattr(menu, field)), field
+
+
 def test_solve_grid_output_is_feasible_and_monotone(rng):
     for _ in range(5):
         grid = make_grid(rng)
@@ -184,9 +268,11 @@ def test_solve_grid_output_is_feasible_and_monotone(rng):
 
 def _per_probe_refine(result, spec, grid, ch, hmd, sens, pt):
     """The pattern search one probe at a time: box and monotonicity checks,
-    minimal_reward_oracle, a fresh menu scored with pt_expected."""
+    minimal_reward_oracle, a fresh menu scored with pt_expected.  Returns the
+    menu, its objective, the evaluation count and the accepted moves."""
     b, f = result.menu.b.copy(), result.menu.f.copy()
     best_menu, best_obj, evals = result.menu, result.objective, result.evaluations
+    moves = 0
     step_b = (spec.b_range[1] - spec.b_range[0]) / max(spec.grid_points - 1, 1)
     step_f = (spec.f_range[1] - spec.f_range[0]) / max(spec.grid_points - 1, 1)
 
@@ -219,6 +305,7 @@ def _per_probe_refine(result, spec, grid, ch, hmd, sens, pt):
                             best_menu, best_obj = cand
                             arr[m, n] = trial[m, n]
                             improved = True
+                            moves += 1
         if not improved:
             step_b *= 0.5
             step_f *= 0.5
@@ -226,7 +313,7 @@ def _per_probe_refine(result, spec, grid, ch, hmd, sens, pt):
                 spec.b_range[1] - spec.b_range[0], spec.f_range[1] - spec.f_range[0]
             ):
                 break
-    return best_menu, best_obj, evals
+    return best_menu, best_obj, evals, moves
 
 
 def test_refine_never_decreases_objective(rng):
@@ -287,8 +374,14 @@ def test_refine_keeps_monotonicity_on_2x3_lattice():
     assert fz.check_full(refined.menu, grid).feasible
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=lambda s: "%dx%d" % s)
-def test_refine_local_equals_per_probe_loop(rng, shape):
+# refine_iters=40 (the default) keeps the plain lattice id; the smaller caps
+# fall inside one precomputed probe sequence of the batched search
+@pytest.mark.parametrize("shape,iters", [
+    pytest.param(shape, iters, id="%dx%d" % shape + ("" if iters == 40 else "-iters%d" % iters))
+    for shape in [(2, 2), (2, 3), (3, 2), (3, 3)]
+    for iters in (1, 2, 3, 40)
+])
+def test_refine_local_equals_per_probe_loop(rng, monkeypatch, shape, iters):
     pt = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=2.25, u_ref=10.0,
                   weight_coeff=0.7, use_weighting=True)
     scenarios = []
@@ -302,12 +395,28 @@ def test_refine_local_equals_per_probe_loop(rng, shape):
         ))
     # on these scenarios the grid optimum sits at b_max = 10 in the default
     # box; a wider b box leaves the pattern search moves to accept
-    spec = SearchSpec(b_range=(0.0, 40.0), grid_points=3)
+    spec = SearchSpec(b_range=(0.0, 40.0), grid_points=3, refine_iters=iters)
+    # every first-sweep probe from the 3-point grid optimum is a grid
+    # candidate, so no capped run could move from there; they start from the
+    # 2-point optimum instead
+    start = spec if iters == 40 else replace(spec, grid_points=2)
+    real = solver._complete_and_score
+    calls = 0
+
+    def counting(*a):
+        nonlocal calls
+        calls += 1
+        return real(*a)
+
+    monkeypatch.setattr(solver, "_complete_and_score", counting)
     moved = 0
     for args in scenarios:
-        coarse = solve_grid(spec, *args)
-        menu, obj, evals = _per_probe_refine(coarse, spec, *args)
+        coarse = solve_grid(start, *args)
+        menu, obj, evals, moves = _per_probe_refine(coarse, spec, *args)
+        calls = 0
         result = refine_local(coarse, spec, *args)
+        # one batch per accepted move, plus one
+        assert calls <= moves + 1
         assert result.objective == obj
         assert result.evaluations == evals
         for field in ("b", "f", "r"):
