@@ -4,8 +4,10 @@ The actor is a conditional denoiser: starting from Gaussian noise it applies
 K reverse steps conditioned on the environment state, and the squashed output
 is affinely mapped into the (b, f, R) action box.  Critics score state-action
 pairs; training follows the usual off-policy actor-critic loop with a replay
-buffer, double-Q targets, and soft target updates.  Greedy and random menu
-baselines live here as well.
+buffer, double-Q targets, and soft target updates.  :class:`GdmHyperparams`
+holds every setting of that loop and is the ``[training]`` config section;
+:func:`train` draws its scenarios from a caller-supplied sampler.  Greedy and
+random menu baselines live here as well.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class NoiseSchedule:
         iota = np.asarray(self.iota, dtype=float)
         if iota.ndim != 1 or iota.size < 1:
             raise ValueError("iota must be a nonempty vector")
-        if np.any(iota <= 0) or np.any(iota >= 1):
+        if not np.all((iota > 0) & (iota < 1)):
             raise ValueError("iota entries must lie in (0, 1)")
         object.__setattr__(self, "iota", iota)
 
@@ -176,32 +178,57 @@ def _denoise_coeffs(schedule: NoiseSchedule) -> list[tuple[float, float, float]]
 
 @dataclass
 class GdmHyperparams:
+    """Settings of the GDM training loop (Du et al., arXiv:2308.05384).
+
+    This is the ``[training]`` config section: every field is a key of the
+    same name.  ``r_max`` caps the reward axis of the action box, which
+    :class:`ActionBounds` carries; :class:`GdmAgent` and :func:`train` read
+    the rest.
+    """
+
+    episodes: int = 200
+    steps: int = 3
     gamma: float = 1.0
     tau: float = 0.005
     explore_noise: float = 0.01
-    # final noise level; linearly annealed per episode when it differs
-    explore_noise_final: float | None = None
+    # final noise level, linearly annealed per episode; < 0 means no annealing
+    explore_noise_final: float = -1.0
     batch_size: int = 512
-    varpi: float = 0.0
-    # lower bound on the tanh derivative used in the actor update; a positive
-    # value keeps escape pressure on saturated action dimensions
-    tanh_grad_floor: float = 0.0
     actor_lr: float = 2e-7
     critic_lr: float = 2e-7
     buffer_capacity: int = 1_000_000
     hidden_width: int = 128
     hidden_layers: int = 3
+    diffusion_steps: int = 3
+    iota_lo: float = 1e-4
+    iota_hi: float = 2e-2
+    varpi: float = 0.0
+    # lower bound on the tanh derivative used in the actor update; a positive
+    # value keeps escape pressure on saturated action dimensions
+    tanh_grad_floor: float = 0.0
+    resample_each_step: bool = False
+    penalty_weight: float = 1.0
+    violations_only: bool = False
+    r_max: float = 50.0
+
+    def schedule(self) -> NoiseSchedule:
+        """``diffusion_steps`` noise levels evenly spaced from ``iota_lo`` to
+        ``iota_hi``."""
+        if self.diffusion_steps < 1:
+            raise ValueError("diffusion_steps must be >= 1")
+        return NoiseSchedule.default(self.diffusion_steps, self.iota_lo, self.iota_hi)
 
 
 class GdmAgent:
     """Actor/critic bundle realizing the diffusion contract policy.
 
-    The twin critics are one stacked network (``critics``, and
-    ``target_critics`` for their targets) on a leading axis of 2;
-    ``critic1``/``critic2`` are plain-network views of its two members.
-    Besides the networks' own workspaces, the agent reuses one chain cache
-    per batch size (see :meth:`_denoise_chain`); everything else a training
-    step computes is a fresh array.
+    ``hp`` sets the network widths and, through :meth:`GdmHyperparams.schedule`,
+    the reverse chain's noise schedule.  The twin critics are one stacked
+    network (``critics``, and ``target_critics`` for their targets) on a
+    leading axis of 2; ``critic1``/``critic2`` are plain-network views of its
+    two members.  Besides the networks' own workspaces, the agent reuses one
+    chain cache per batch size (see :meth:`_denoise_chain`); everything else
+    a training step computes is a fresh array.
     """
 
     def __init__(
@@ -209,15 +236,14 @@ class GdmAgent:
         m: int,
         n: int,
         bounds: ActionBounds,
-        schedule: NoiseSchedule | None = None,
         hp: GdmHyperparams | None = None,
         seed: int = 0,
     ):
         self.m = m
         self.n = n
         self.bounds = bounds
-        self.schedule = schedule or NoiseSchedule.default()
         self.hp = hp or GdmHyperparams()
+        self.schedule = self.hp.schedule()
         rng = np.random.default_rng(seed)
 
         sd = state_dim(m, n)
@@ -458,82 +484,54 @@ def soft_update(agent: GdmAgent, tau: float | None = None) -> None:
         target.params += online.params * t
 
 
-class ContractEnv:
-    """Contextual one-shot contract environment.
+def train(agent: GdmAgent, scenario_fn, seed: int) -> tuple[list[dict], Scenario | None]:
+    """Off-policy training loop for ``agent.hp.episodes`` x ``agent.hp.steps``
+    steps; returns one log record per (episode, step) and the last scenario
+    drawn (``None`` when there are no episodes).
 
-    Each step proposes a menu for the current scenario; ``resample_each_step``
-    draws a fresh scenario per step, otherwise the scenario is fixed.
+    ``scenario_fn(rng)`` draws a scenario.  One draw is made up front; with
+    ``hp.resample_each_step`` every step also draws its own scenario and the
+    next state's, otherwise every step reuses the first.  Each step's menu
+    is scored by :func:`reward_components` with ``hp.penalty_weight`` and
+    ``hp.violations_only``.  RNG streams are keyed by (seed, episode, step)
+    so the run is reproducible regardless of any intra-step parallelism.
     """
-
-    def __init__(self, scenario_fn, resample_each_step: bool = False,
-                 penalty_weight: float = 1.0, violations_only: bool = False):
-        self.scenario_fn = scenario_fn
-        self.resample_each_step = resample_each_step
-        self.penalty_weight = penalty_weight
-        self.violations_only = violations_only
-        self._current: Scenario | None = None
-
-    def reset(self, rng: np.random.Generator) -> Scenario:
-        self._current = self.scenario_fn(rng)
-        return self._current
-
-    def step_scenario(self, rng: np.random.Generator) -> Scenario:
-        if self._current is None or self.resample_each_step:
-            self._current = self.scenario_fn(rng)
-        return self._current
-
-    def reward_components(self, menu: ContractMenu, sc: Scenario) -> tuple[float, float, float, float]:
-        """``(reward, u_pt, ic_slack_sum, ir_slack_min)``, see :func:`reward_components`."""
-        return reward_components(
-            menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt,
-            penalty_weight=self.penalty_weight,
-            violations_only=self.violations_only,
-        )
-
-
-def train(
-    agent: GdmAgent,
-    env: ContractEnv,
-    episodes: int,
-    steps: int,
-    seed: int,
-) -> list[dict]:
-    """Off-policy training loop; returns one log record per (episode, step).
-
-    RNG streams are keyed by (seed, episode, step) so the run is reproducible
-    regardless of any intra-step parallelism.
-    """
+    hp = agent.hp
     log: list[dict] = []
-    if episodes <= 0:
-        return log
-    env.reset(np.random.default_rng((seed, 0)))
-    noise_hi = agent.hp.explore_noise
-    noise_lo = noise_hi if agent.hp.explore_noise_final is None else agent.hp.explore_noise_final
+    if hp.episodes <= 0:
+        return log, None
+    sc = scenario_fn(np.random.default_rng((seed, 0)))
+    noise_hi = hp.explore_noise
+    noise_lo = noise_hi if hp.explore_noise_final < 0 else hp.explore_noise_final
     buffer = ReplayBuffer(
         # a run never stores more transitions than it makes
-        capacity=min(agent.hp.buffer_capacity, episodes * steps),
+        capacity=min(hp.buffer_capacity, hp.episodes * hp.steps),
         state_dim=state_dim(agent.m, agent.n),
         act_dim=action_dim(agent.m, agent.n),
     )
-    for ep in range(episodes):
-        for t in range(steps):
+    for ep in range(hp.episodes):
+        for t in range(hp.steps):
             rng = np.random.default_rng((seed, ep, t))
-            sc = env.step_scenario(rng)
+            if hp.resample_each_step:
+                sc = scenario_fn(rng)
             s = encode_state(sc)
-            frac = ep / (episodes - 1) if episodes > 1 else 1.0
+            frac = ep / (hp.episodes - 1) if hp.episodes > 1 else 1.0
             noise_scale = noise_hi + (noise_lo - noise_hi) * frac
             u = agent.act_batch(s[None, :], rng)[0]
             u = np.clip(u + noise_scale * rng.standard_normal(u.shape), -1.0, 1.0)
             menu = map_action(u, agent.bounds, agent.m, agent.n)
-            r, u_pt, ic_sum, ir_min = env.reward_components(menu, sc)
+            r, u_pt, ic_sum, ir_min = reward_components(
+                menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt, hp.penalty_weight, hp.violations_only
+            )
             if not np.isfinite(r):
                 raise FloatingPointError(f"non-finite reward at episode {ep} step {t}")
-            sc_next = env.step_scenario(rng) if env.resample_each_step else sc
-            s_next = encode_state(sc_next)
-            done = t == steps - 1
+            if hp.resample_each_step:
+                sc = scenario_fn(rng)
+            s_next = encode_state(sc)
+            done = t == hp.steps - 1
             buffer.add(s, u, r, s_next, done)
 
-            batch = buffer.sample(agent.hp.batch_size, rng)
+            batch = buffer.sample(hp.batch_size, rng)
             c1, c2 = critic_update(agent, batch, rng)
             a_loss = actor_update(agent, batch, rng)
             soft_update(agent)
@@ -552,7 +550,7 @@ def train(
                     "actor_loss": a_loss,
                 }
             )
-    return log
+    return log, sc
 
 
 def baseline_random(sc: Scenario, bounds: ActionBounds, rng: np.random.Generator) -> tuple[ContractMenu, float]:

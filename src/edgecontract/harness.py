@@ -15,7 +15,6 @@ import numpy as np
 
 from . import diffusion, feasibility, solver
 from .diffusion import (
-    ContractEnv,
     GdmAgent,
     Scenario,
     baseline_greedy,
@@ -122,24 +121,16 @@ def build_agent(cfg: ExperimentConfig) -> GdmAgent:
         m=cfg.scenario.m,
         n=cfg.scenario.n,
         bounds=cfg.bounds(),
-        schedule=cfg.training.to_schedule(),
-        hp=cfg.training.to_hyperparams(),
+        hp=cfg.training,
         seed=cfg.seed,
     )
 
 
 def run_training(cfg: ExperimentConfig) -> tuple[RunRecord, GdmAgent, Scenario]:
     agent = build_agent(cfg)
-    env = ContractEnv(
-        scenario_fn=lambda r: sample_scenario(cfg, r),
-        resample_each_step=cfg.training.resample_each_step,
-        penalty_weight=cfg.training.penalty_weight,
-        violations_only=cfg.training.violations_only,
-    )
     t0 = time.monotonic()
-    log = train(agent, env, cfg.training.episodes, cfg.training.steps, cfg.seed)
+    log, sc = train(agent, lambda rng: sample_scenario(cfg, rng), cfg.seed)
     elapsed = time.monotonic() - t0
-    sc = env._current
     record = RunRecord(
         config_hash=config_hash(cfg),
         seed=cfg.seed,

@@ -1,8 +1,10 @@
 """Experiment configuration and scenario sampling.
 
 Configs are flat INI-style key/value files with fixed sections; unknown keys
-or sections are rejected.  The canonical serialization (sorted
-``section.key=value`` lines) feeds the config hash recorded with every run.
+or sections are rejected.  The ``[training]`` section is
+:class:`~edgecontract.diffusion.GdmHyperparams` itself.  The canonical
+serialization (sorted ``section.key=value`` lines) feeds the config hash
+recorded with every run.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .diffusion import ActionBounds, GdmHyperparams, NoiseSchedule, Scenario
+from .diffusion import ActionBounds, GdmHyperparams, Scenario
 from .econ import (
     ChannelParams,
     HMDParams,
@@ -78,52 +80,6 @@ class PTConfig:
 
 
 @dataclass
-class TrainingConfig:
-    episodes: int = 200
-    steps: int = 3
-    gamma: float = 1.0
-    tau: float = 0.005
-    explore_noise: float = 0.01
-    explore_noise_final: float = -1.0  # < 0 means "no annealing"
-    batch_size: int = 512
-    actor_lr: float = 2e-7
-    critic_lr: float = 2e-7
-    buffer_capacity: int = 1_000_000
-    hidden_width: int = 128
-    hidden_layers: int = 3
-    diffusion_steps: int = 3
-    iota_lo: float = 1e-4
-    iota_hi: float = 2e-2
-    varpi: float = 0.0
-    tanh_grad_floor: float = 0.0
-    resample_each_step: bool = False
-    penalty_weight: float = 1.0
-    violations_only: bool = False
-    r_max: float = 50.0
-
-    def to_hyperparams(self) -> GdmHyperparams:
-        return GdmHyperparams(
-            gamma=self.gamma,
-            tau=self.tau,
-            explore_noise=self.explore_noise,
-            explore_noise_final=(
-                None if self.explore_noise_final < 0 else self.explore_noise_final
-            ),
-            batch_size=self.batch_size,
-            varpi=self.varpi,
-            tanh_grad_floor=self.tanh_grad_floor,
-            actor_lr=self.actor_lr,
-            critic_lr=self.critic_lr,
-            buffer_capacity=self.buffer_capacity,
-            hidden_width=self.hidden_width,
-            hidden_layers=self.hidden_layers,
-        )
-
-    def to_schedule(self) -> NoiseSchedule:
-        return NoiseSchedule(iota=np.linspace(self.iota_lo, self.iota_hi, self.diffusion_steps))
-
-
-@dataclass
 class SearchConfig:
     b_min: float = 0.0
     b_max: float = 10.0
@@ -145,7 +101,7 @@ class SearchConfig:
 class ExperimentConfig:
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     pt: PTConfig = field(default_factory=PTConfig)
-    training: TrainingConfig = field(default_factory=TrainingConfig)
+    training: GdmHyperparams = field(default_factory=GdmHyperparams)
     search: SearchConfig = field(default_factory=SearchConfig)
     seed: int = 0
     out_dir: str = "runs"
@@ -161,12 +117,8 @@ class ExperimentConfig:
         )
 
 
-_SECTIONS = {
-    "scenario": ScenarioConfig,
-    "pt": PTConfig,
-    "training": TrainingConfig,
-    "search": SearchConfig,
-}
+# the dataclass sections of ExperimentConfig; [run] holds seed and out_dir
+_SECTIONS = ("scenario", "pt", "training", "search")
 
 
 def _parse_value(text: str, kind):
@@ -191,12 +143,14 @@ def _parse_value(text: str, kind):
 def load_config(path: str | None = None, text: str | None = None) -> ExperimentConfig:
     """Load and validate a config file; unknown sections/keys are errors."""
     parser = configparser.ConfigParser()
-    if text is not None:
-        parser.read_string(text)
-    elif path is not None:
-        read = parser.read(path)
-        if not read:
+    try:
+        if text is not None:
+            parser.read_string(text)
+        elif path is not None and not parser.read(path):
             raise FileNotFoundError(path)
+    except configparser.Error as exc:
+        # a malformed file (no section header, a repeated section or key)
+        raise ValueError(" ".join(str(exc).split())) from None
     cfg = ExperimentConfig()
     for section in parser.sections():
         if section == "run":
@@ -222,13 +176,29 @@ def load_config(path: str | None = None, text: str | None = None) -> ExperimentC
 
 def _validate(cfg: ExperimentConfig) -> None:
     """Reject values the commands cannot run with, before any work starts."""
-    cfg.search.to_spec()  # SearchSpec checks the search box and grid_points
+    for section in _SECTIONS:
+        obj = getattr(cfg, section)
+        for f in fields(obj):
+            v = getattr(obj, f.name)
+            if isinstance(v, (float, tuple)) and not np.all(np.isfinite(v)):
+                raise ValueError(f"[{section}] {f.name} must be finite")
+    # the search box, grid_points and refine_iters; the PT parameters; the
+    # noise schedule the agent builds
+    for section, build in (("search", cfg.search.to_spec), ("pt", cfg.pt.to_params),
+                           ("training", cfg.training.schedule)):
+        try:
+            build()
+        except ValueError as exc:
+            raise ValueError(f"[{section}] {exc}") from None
     sc = cfg.scenario
     if (sc.m, sc.n) != (2, 2):
         raise ValueError("[scenario] m and n must be 2: sampling is defined for 2x2 type grids")
-    for name in ("episodes", "steps", "batch_size"):
-        if getattr(cfg.training, name) < 1:
-            raise ValueError(f"[training] {name} must be >= 1")
+    for name, low in (("episodes", 1), ("steps", 1), ("batch_size", 1), ("buffer_capacity", 1),
+                      ("hidden_width", 1), ("hidden_layers", 0)):
+        if getattr(cfg.training, name) < low:
+            raise ValueError(f"[training] {name} must be >= {low}")
+    if not cfg.training.r_max > 0:
+        raise ValueError("[training] r_max must be > 0")
     for f in fields(sc):
         lo_hi = getattr(sc, f.name)
         if isinstance(lo_hi, tuple) and not lo_hi[0] <= lo_hi[1]:
@@ -244,12 +214,8 @@ def _validate(cfg: ExperimentConfig) -> None:
 def canonical_serialization(cfg: ExperimentConfig) -> str:
     """Sorted section.key=value lines; stable across platforms."""
     lines = []
-    for section, obj in (
-        ("scenario", cfg.scenario),
-        ("pt", cfg.pt),
-        ("training", cfg.training),
-        ("search", cfg.search),
-    ):
+    for section in _SECTIONS:
+        obj = getattr(cfg, section)
         for f in fields(obj):
             v = getattr(obj, f.name)
             if isinstance(v, tuple):

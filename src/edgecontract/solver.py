@@ -82,6 +82,8 @@ class SearchSpec:
             raise ValueError("need 0 <= f_min < f_max")
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
+        if self.refine_iters < 0:
+            raise ValueError("refine_iters must be >= 0")
 
 
 @dataclass

@@ -336,23 +336,16 @@ def test_soft_update_endpoints_and_contraction():
 
 # -- training loop and baselines --------------------------------------------
 
-def _env(resample=False):
-    def scenario_fn(rng):
-        return _scenario(rng)
-
-    return df.ContractEnv(scenario_fn, resample_each_step=resample)
-
-
 def test_train_zero_episodes_returns_empty_log():
-    agent = _small_agent(seed=7)
-    assert df.train(agent, _env(), episodes=0, steps=3, seed=0) == []
+    agent = _small_agent(seed=7, episodes=0, steps=3)
+    assert df.train(agent, _scenario, seed=0) == ([], None)
 
 
 def test_train_fixed_seed_reproducible():
     logs = []
     for _ in range(2):
-        agent = _small_agent(seed=8)
-        logs.append(df.train(agent, _env(), episodes=3, steps=2, seed=11))
+        agent = _small_agent(seed=8, episodes=3, steps=2)
+        logs.append(df.train(agent, _scenario, seed=11)[0])
     assert logs[0] == logs[1]
     assert len(logs[0]) == 6
     assert {rec["epoch"] for rec in logs[0]} == {0, 1, 2}
@@ -361,6 +354,23 @@ def test_train_fixed_seed_reproducible():
             "epoch", "step", "reward", "u_pt", "ic_slack_sum",
             "ir_slack_min", "critic_loss", "actor_loss",
         }
+
+
+@pytest.mark.parametrize("resample", [False, True])
+def test_train_draws_and_returns_scenarios(resample):
+    # one draw up front, plus the step's own and the next state's scenario
+    # per step when resampling; the returned scenario is the last one drawn
+    drawn = []
+
+    def scenario_fn(rng):
+        drawn.append(_scenario(rng))
+        return drawn[-1]
+
+    agent = _small_agent(seed=9, episodes=3, steps=2, resample_each_step=resample)
+    log, last = df.train(agent, scenario_fn, seed=4)
+    assert len(log) == 6
+    assert len(drawn) == (1 + 2 * 3 * 2 if resample else 1)
+    assert last is drawn[-1]
 
 
 def test_baselines_stay_in_box(rng):

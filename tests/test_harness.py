@@ -18,6 +18,8 @@ from edgecontract.scenario import (
     sample_scenario,
 )
 
+from conftest import acceptance_config
+
 
 def _fast_cfg(seed=0) -> ExperimentConfig:
     cfg = ExperimentConfig()
@@ -99,6 +101,13 @@ def test_config_hash_stability_and_sensitivity():
     assert config_hash(a) != config_hash(d)
 
 
+def test_config_hash_pinned():
+    # every summary CSV records this hash; renaming, retyping or dropping a
+    # config field changes it
+    assert config_hash(ExperimentConfig()) == "30a33bde563c10d6"
+    assert config_hash(acceptance_config(0)) == "939b9ebd9ea24071"
+
+
 def test_canonical_serialization_is_sorted():
     lines = canonical_serialization(ExperimentConfig()).splitlines()
     assert lines == sorted(lines)
@@ -143,6 +152,19 @@ def test_sample_scenario_first_type_mean(rng):
     ("[scenario]\nmu_range = 1.0, 0.1\n", "mu_range must be ordered"),
     ("[scenario]\ntheta1_range = 100, 200\ntheta2_range = 10, 50\n", "theta2_range"),
     ("[scenario]\nsigma2_range = 10, 100\n", "sigma2_range"),
+    ("[training]\nbuffer_capacity = 0\n", "buffer_capacity"),
+    ("[training]\nhidden_width = 0\n", "hidden_width"),
+    ("[training]\nhidden_layers = -1\n", "hidden_layers"),
+    ("[training]\nr_max = -5\n", "r_max"),
+    ("[training]\nr_max = 0\n", "r_max"),
+    ("[training]\ntau = nan\n", "tau must be finite"),
+    ("[training]\ndiffusion_steps = 0\n", "diffusion_steps"),
+    ("[training]\niota_hi = 1.5\n", "iota"),
+    ("[search]\nb_max = inf\n", "b_max must be finite"),
+    ("[search]\nrefine_iters = -3\n", "refine_iters"),
+    ("[scenario]\nmu_range = 0.1, inf\n", "mu_range must be finite"),
+    ("[pt]\nkappa = -1\n", "kappa"),
+    ("[pt]\nu_ref = nan\n", "u_ref must be finite"),
 ])
 def test_load_config_rejects_unusable_values(text, match):
     with pytest.raises(ValueError, match=match):
@@ -317,6 +339,7 @@ def _cli_fails_cleanly(argv, capsys) -> None:
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def test_cli_non_integer_env_seed_exits_2(tmp_path, monkeypatch, capsys):
@@ -329,11 +352,24 @@ def test_cli_non_integer_env_seed_exits_2(tmp_path, monkeypatch, capsys):
     "[scenario]\nm = 3\n",
     "[training]\nepisodes = 0\n",
     "[scenario]\ntheta1_range = 100, 200\ntheta2_range = 10, 50\n",
+    "[training]\nbuffer_capacity = 0\n",
+    "[training]\nhidden_width = 0\n",
+    "[training]\nhidden_layers = -1\n",
+    "[training]\nr_max = -5\n",
+    "[search]\nb_max = inf\n",
+    "[training]\ntau = nan\n",
+    "[search]\nrefine_iters = -3\n",
+    "[pt]\nkappa = -1\n",
+    "[training]\ndiffusion_steps = 0\n",
+    "episodes = 4\n",
+    "[training]\nepisodes = 4\n[training]\nsteps = 2\n",
+    "[training]\nepisodes = 4\nepisodes = 5\n",
 ])
 def test_cli_unusable_config_exits_2(tmp_path, capsys, text):
     cfgfile = tmp_path / "cfg.ini"
     cfgfile.write_text(text)
-    _cli_fails_cleanly(["train", "--config", str(cfgfile), "--out", str(tmp_path)], capsys)
+    err = _cli_fails_cleanly(["train", "--config", str(cfgfile), "--out", str(tmp_path)], capsys)
+    assert err.startswith("error: bad config: "), err
 
 
 _MENU_ROWS = ["m,n,b,f,r", "0,0,1.0,0.5,2.0", "0,1,1.0,0.5,2.0", "1,0,1.0,0.5,2.0",
