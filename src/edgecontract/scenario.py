@@ -197,8 +197,20 @@ def _validate(cfg: ExperimentConfig) -> None:
                       ("hidden_width", 1), ("hidden_layers", 0)):
         if getattr(cfg.training, name) < low:
             raise ValueError(f"[training] {name} must be >= {low}")
-    if not cfg.training.r_max > 0:
-        raise ValueError("[training] r_max must be > 0")
+    # tau outside [0, 1] makes soft_update extrapolate; a learning rate at or
+    # below 0 freezes the network or ascends the loss
+    for name in ("tau", "gamma"):
+        if not 0 <= getattr(cfg.training, name) <= 1:
+            raise ValueError(f"[training] {name} must be in [0, 1]")
+    for name in ("actor_lr", "critic_lr", "r_max"):
+        if not getattr(cfg.training, name) > 0:
+            raise ValueError(f"[training] {name} must be > 0")
+    # scalars only the sampled scenario would otherwise check
+    for name in ("resolution", "framerate", "t_th", "bandwidth_unit_hz"):
+        if not getattr(sc, name) > 0:
+            raise ValueError(f"[scenario] {name} must be > 0")
+    if sc.n_sellers < 1:
+        raise ValueError("[scenario] n_sellers must be >= 1")
     for f in fields(sc):
         lo_hi = getattr(sc, f.name)
         if isinstance(lo_hi, tuple) and not lo_hi[0] <= lo_hi[1]:

@@ -17,14 +17,15 @@ one batched route, :func:`feasibility.minimal_rewards` then
   ``b^2/theta + f^2/sigma``, ``pt_value`` is nondecreasing and the weights
   are nonnegative, so scoring a b-grid at the IR rewards with, cell by cell,
   its best f level bounds every candidate that shares the b-grid.  b-grids
-  are visited in descending bound order, in passes of at most
-  :data:`CHUNK` candidates, until a bound falls strictly below the
-  incumbent; ties go to the lower b-major, f-minor index.
+  are visited in descending bound order until a bound falls strictly below
+  the incumbent; ties go to the lower b-major, f-minor index.  The first
+  pass completes the best-bound b-grid alone, so that every later pass, of
+  at most :data:`CHUNK` candidates, is cut by an incumbent.
 * :func:`refine_local` is a Hooke & Jeeves (1961) coordinate search.  Its
   probe order does not depend on the objective values it sees until a probe
-  improves, so from each point it builds the whole probe sequence the
-  sequential loop would run if nothing improved, scores it in one batch,
-  and accepts the first improving probe in sequence order.
+  improves, so from each point it builds, in closed form, the whole probe
+  sequence the sequential loop would run if nothing improved, scores it in
+  one batch, and accepts the first improving probe in sequence order.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ from .feasibility import minimal_reward_oracle, optimal_rewards  # noqa: F401
 
 __all__ = ["SearchSpec", "SolveResult", "solve_grid", "refine_local", "monotone_grids"]
 
-# candidates per array pass of solve_grid; bounds the memory of a pass: the
+# candidates per array pass of solve_grid after the first, which is one
+# b-grid's f-grids (at most CHUNK of them); bounds the memory of a pass: the
 # relaxation's (MN, MN, CHUNK) float weight tensor stays within 0.5 MB up to
 # a 3 x 3 lattice
 CHUNK = 768
@@ -175,32 +177,35 @@ def solve_grid(
     implementable and are skipped, and a NaN objective never wins.
 
     b-grids are visited in descending order of their bound (equal bounds in
-    index order), each with all its f-grids, in passes of at most
-    :data:`CHUNK` candidates; the search stops at the first b-grid whose
-    bound is strictly below the best objective found.  ``evaluations`` is
-    every candidate, scored or bounded out.
+    index order), each with all its f-grids; the search stops at the first
+    b-grid whose bound is strictly below the best objective found.  The
+    first pass is the best-bound b-grid's f-grids alone (at most
+    :data:`CHUNK`), so that the passes after it, of at most :data:`CHUNK`
+    candidates each, complete only b-grids still in play against a real
+    incumbent.  ``evaluations`` is every candidate, scored or bounded out.
     """
     b_levels = np.linspace(spec.b_range[0], spec.b_range[1], spec.grid_points)
     f_levels = np.linspace(spec.f_range[0], spec.f_range[1], spec.grid_points)
-    b_idx = monotone_grids(np.arange(spec.grid_points), grid.m, grid.n).astype(int)
-    b_cands = b_levels[b_idx]
-    f_cands = monotone_grids(f_levels, grid.m, grid.n)
+    # both level sets are increasing, so one enumeration of level indices
+    # gives the b-grids and the f-grids alike
+    idx = monotone_grids(np.arange(spec.grid_points), grid.m, grid.n).astype(int)
+    b_cands, f_cands = b_levels[idx], f_levels[idx]
     n_f = len(f_cands)
     total = len(b_cands) * n_f
 
-    bound = _b_grid_bounds(b_levels, f_levels, b_idx, grid, ch, hmd, sens, pt)
+    bound = _b_grid_bounds(b_levels, f_levels, idx, grid, ch, hmd, sens, pt)
     bound = np.where(np.isnan(bound), np.inf, bound)
     visit = np.argsort(-bound, kind="stable")
     bound = bound[visit]
 
     best_k, best_obj, best_r = -1, -np.inf, None
-    start = 0
+    start, stop = 0, min(n_f, CHUNK)  # the first pass: the best-bound b-grid
     while True:
         # the b-grids still in play are a prefix of the visit order
         live = int(np.count_nonzero(bound >= best_obj)) * n_f
         if start >= live:
             break
-        j = np.arange(start, min(start + CHUNK, live))
+        j = np.arange(start, min(stop, live))
         k = visit[j // n_f] * n_f + j % n_f
         r, _, obj = _complete_and_score(
             b_cands[k // n_f], f_cands[k % n_f], grid, ch, hmd, sens, pt
@@ -210,6 +215,7 @@ def solve_grid(
         if top > best_obj or (top == best_obj and k[i] < best_k):
             best_k, best_obj, best_r = int(k[i]), float(top), r[i]
         start += len(j)
+        stop = start + CHUNK
     if best_k < 0:
         raise FloatingPointError("no monotone candidate has a comparable PT objective")
     menu = ContractMenu(b=b_cands[best_k // n_f], f=f_cands[best_k % n_f], r=best_r)
@@ -237,8 +243,11 @@ def refine_local(
     improved (the rest of this sweep, then every later sweep at halved
     steps) are filtered and scored in one batch; the first improving one in
     sequence order is accepted, and the search resumes just after it.  That
-    is one batch per accepted move, plus one.  ``evaluations`` grows by the
-    feasible probes the sequential loop would have scored.
+    is one batch per accepted move, plus one.  Each batch's plan is built in
+    closed form, with no loop over sweeps: a sweep ``h`` halvings on probes
+    at ``step * 2**-h``, which is exact, and the probes are one sweep's move
+    table repeated.  ``evaluations`` grows by the feasible probes the
+    sequential loop would have scored.
     """
     # b and f stacked on axis 0, with their box and step per axis
     x = np.stack([result.menu.b, result.menu.f])
@@ -256,20 +265,22 @@ def refine_local(
     )
     n_moves = len(sgn)
 
-    sweep, first, improved = 0, 0, False
+    sweep, first = 0, 0
     while sweep < spec.refine_iters:
-        # (sweep, first move, step) of every sweep left if no probe improves
-        plan, s, halve = [], step, not improved
-        for t in range(sweep, spec.refine_iters):
-            plan.append((t, first if t == sweep else 0, s))
-            if halve:
-                s = s * 0.5
-                if np.max(s) < min_step:
-                    break
-            halve = True
-        which = np.concatenate([np.full(n_moves - p, i) for i, (_, p, _) in enumerate(plan)])
-        move = np.concatenate([np.arange(p, n_moves) for _, p, _ in plan])
-        delta = sgn[move] * np.stack([s for *_, s in plan])[which, axis[move]]
+        # every sweep left if no probe improves: the current one keeps its
+        # step, and so does the next if the current one has moved, that is
+        # if the search resumes mid-sweep; each later one halves it while it
+        # stays at or above min_step.  The halvings left are the largest h
+        # with max(step) * 2**-h >= min_step, exact from the binary exponents
+        kept = int(first > 0)
+        (m_step, e_step), (m_min, e_min) = np.frexp(np.max(step)), np.frexp(min_step)
+        halvings = max(int(e_step - e_min) - int(m_step < m_min), 0)
+        sweeps = min(spec.refine_iters - sweep, 1 + kept + halvings)
+        h = np.maximum(np.arange(sweeps) - kept, 0)
+        steps = np.ldexp(step, -h[:, None])  # (sweeps, 2), exact
+        which = np.repeat(np.arange(sweeps), n_moves)[first:]
+        move = np.tile(np.arange(n_moves), sweeps)[first:]
+        delta = sgn[move] * steps[which, axis[move]]
         trials = np.repeat(x[None], len(move), axis=0)
         trials[np.arange(len(move)), axis[move], m[move], n[move]] += delta
         # minimal_rewards does not check monotonicity itself
@@ -288,8 +299,7 @@ def refine_local(
         q = better[0]
         evals += int(np.count_nonzero(feasible[: q + 1]))
         x, best_obj, best_r = trials[q], float(obj[q]), r[q]
-        sweep, _, step = plan[which[q]]
-        first, improved = move[q] + 1, True
+        sweep, step, first = sweep + int(which[q]), steps[which[q]], move[q] + 1
 
     menu = ContractMenu(b=x[0], f=x[1], r=best_r)
     return SolveResult(menu=menu, objective=best_obj, evaluations=evals)

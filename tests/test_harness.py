@@ -165,6 +165,18 @@ def test_sample_scenario_first_type_mean(rng):
     ("[scenario]\nmu_range = 0.1, inf\n", "mu_range must be finite"),
     ("[pt]\nkappa = -1\n", "kappa"),
     ("[pt]\nu_ref = nan\n", "u_ref must be finite"),
+    ("[training]\ntau = 3\n", "tau must be in"),
+    ("[training]\ntau = -0.1\n", "tau must be in"),
+    ("[training]\ngamma = -5\n", "gamma must be in"),
+    ("[training]\ngamma = 1.5\n", "gamma must be in"),
+    ("[training]\nactor_lr = -1\n", "actor_lr must be > 0"),
+    ("[training]\nactor_lr = 0\n", "actor_lr must be > 0"),
+    ("[training]\ncritic_lr = 0\n", "critic_lr must be > 0"),
+    ("[scenario]\nresolution = 0\n", "resolution must be > 0"),
+    ("[scenario]\nframerate = -90\n", "framerate must be > 0"),
+    ("[scenario]\nt_th = -1\n", "t_th must be > 0"),
+    ("[scenario]\nbandwidth_unit_hz = 0\n", "bandwidth_unit_hz must be > 0"),
+    ("[scenario]\nn_sellers = 0\n", "n_sellers must be >= 1"),
 ])
 def test_load_config_rejects_unusable_values(text, match):
     with pytest.raises(ValueError, match=match):
@@ -361,6 +373,15 @@ def test_cli_non_integer_env_seed_exits_2(tmp_path, monkeypatch, capsys):
     "[search]\nrefine_iters = -3\n",
     "[pt]\nkappa = -1\n",
     "[training]\ndiffusion_steps = 0\n",
+    "[training]\ntau = 3\n",
+    "[training]\ngamma = -5\n",
+    "[training]\nactor_lr = -1\n",
+    "[training]\ncritic_lr = 0\n",
+    "[scenario]\nresolution = 0\n",
+    "[scenario]\nframerate = -90\n",
+    "[scenario]\nt_th = -1\n",
+    "[scenario]\nbandwidth_unit_hz = 0\n",
+    "[scenario]\nn_sellers = 0\n",
     "episodes = 4\n",
     "[training]\nepisodes = 4\n[training]\nsteps = 2\n",
     "[training]\nepisodes = 4\nepisodes = 5\n",

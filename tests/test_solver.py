@@ -57,6 +57,11 @@ def test_monotone_grids_match_brute_force_enumeration(shape, count):
     assert len(got) == count
     # and on the whole stack at once
     assert np.array_equal(~fz.monotone_descents(every).any(axis=(-3, -2, -1)), verdicts)
+    # solve_grid enumerates level indices once and indexes both level sets
+    for points in (3, 5):
+        levels = np.linspace(0.0, 3.0, points)
+        idx = monotone_grids(np.arange(points), *shape).astype(int)
+        assert np.array_equal(monotone_grids(levels, *shape), levels[idx])
 
 
 def test_solve_grid_matches_independent_enumeration(rng):
@@ -224,6 +229,41 @@ def test_solve_grid_completes_fewer_candidates_than_it_covers(monkeypatch):
         assert np.array_equal(getattr(result.menu, field), getattr(menu, field)), field
 
 
+def test_solve_grid_first_pass_is_one_b_grid(monkeypatch):
+    # draw 0: only the best-bound b-grid's bound reaches the answer, so the
+    # search completes that b-grid's 105 f-grids (5 points on 2 x 2) and
+    # stops.  Draw 7: several b-grids stay live, and the first pass's
+    # incumbent still cuts the search below one full CHUNK
+    spec = SearchSpec(grid_points=5)
+    real = solver._complete_and_score
+    rows = []
+
+    def counting(b, *a):
+        rows.append(len(b))
+        return real(b, *a)
+
+    for draw in (0, 7):
+        sc = sample_scenario(ExperimentConfig(), np.random.default_rng((17, draw)))
+        args = (sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
+        rows.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_complete_and_score", counting)
+            result = solve_grid(spec, *args)
+        assert rows[0] == 105
+        if draw == 0:
+            assert rows == [105]
+        else:
+            assert len(rows) > 1 and sum(rows) < 768
+        # a bound that prunes nothing completes every candidate
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_b_grid_bounds", lambda *a: np.full(105, np.inf))
+            exhaustive = solve_grid(spec, *args)
+        assert result.objective == exhaustive.objective
+        assert result.evaluations == exhaustive.evaluations == 105 * 105
+        for field in ("b", "f", "r"):
+            assert np.array_equal(getattr(result.menu, field), getattr(exhaustive.menu, field))
+
+
 def test_solve_grid_answer_holds_under_any_valid_bound(rng, monkeypatch):
     # objectives floored to multiples of 5 tie across about a third of the
     # b-grids; a bound at or above each b-grid's best objective must give
@@ -324,6 +364,41 @@ def test_refine_never_decreases_objective(rng):
     refined = refine_local(coarse, spec, grid, ch, hmd, sens, pt)
     assert refined.objective >= coarse.objective - 1e-12
     assert fz.check_full(refined.menu, grid).feasible
+
+
+def test_refine_with_no_sweeps_returns_grid_result(rng, monkeypatch):
+    grid = make_grid(rng)
+    args = (grid, simple_channel(), simple_hmd(), simple_sens(), _pt())
+    spec = SearchSpec(grid_points=3, refine_iters=0)
+    coarse = solve_grid(spec, *args)
+
+    def never(*a):
+        raise AssertionError("refine_local completed a probe")
+
+    monkeypatch.setattr(solver, "_complete_and_score", never)
+    result = refine_local(coarse, spec, *args)
+    assert result.objective == coarse.objective
+    assert result.evaluations == coarse.evaluations
+    for field in ("b", "f", "r"):
+        assert np.array_equal(getattr(result.menu, field), getattr(coarse.menu, field)), field
+
+
+def test_refine_runs_the_sweep_whose_step_lands_on_min_step(rng, monkeypatch):
+    # at 15626 points on an 8-wide b box the b step is 64 times min_step
+    # (1e-6 of the box), so the sixth halving lands exactly on min_step and
+    # that sweep still runs.  A flat objective accepts no move, so every
+    # sweep down to it is scored and counted
+    grid = make_grid(rng)
+    args = (grid, simple_channel(), simple_hmd(), simple_sens(), _pt())
+    spec = SearchSpec(b_range=(0.0, 8.0), grid_points=15626)
+    assert np.ldexp(8.0 / 15625, -6) == 1e-6 * 8.0
+    start = solve_grid(replace(spec, grid_points=3), *args)
+    monkeypatch.setattr(econ, "pt_objective", lambda b, *a: np.zeros(np.shape(b)[:-2]))
+    monkeypatch.setattr(solver, "pt_objective", econ.pt_objective)
+    start = replace(start, objective=0.0)
+    _, _, evals, moves = _per_probe_refine(start, spec, *args)
+    result = refine_local(start, spec, *args)
+    assert moves == 0 and result.evaluations == evals > start.evaluations
 
 
 def test_refined_menu_stays_inside_search_box(rng):
