@@ -225,10 +225,10 @@ class GdmAgent:
     ``hp`` sets the network widths and, through :meth:`GdmHyperparams.schedule`,
     the reverse chain's noise schedule.  The twin critics are one stacked
     network (``critics``, and ``target_critics`` for their targets) on a
-    leading axis of 2; ``critic1``/``critic2`` are plain-network views of its
-    two members.  Besides the networks' own workspaces, the agent reuses one
-    chain cache per batch size (see :meth:`_denoise_chain`); everything else
-    a training step computes is a fresh array.
+    leading axis of 2; ``critic1`` is a plain-network view of member 0, the
+    critic the actor update climbs.  Besides the networks' forward
+    workspaces the agent reuses nothing: everything a training step
+    computes is a fresh array.
     """
 
     def __init__(
@@ -252,58 +252,37 @@ class GdmAgent:
         acts = ["relu"] * self.hp.hidden_layers + ["identity"]
         self.actor = Mlp([ad + sd + self.schedule.k] + hidden + [ad], acts, rng)
         self.critics = Mlp([sd + ad] + hidden + [1], acts, rng, stack=2)
-        self.critic1, self.critic2 = self.critics.member(0), self.critics.member(1)
+        self.critic1 = self.critics.member(0)
         self.target_actor = self.actor.clone()
         self.target_critics = self.critics.clone()
 
         self.actor_opt = AdamState.for_net(self.actor)
         self.critics_opt = AdamState.for_net(self.critics)
         self._coeffs = _denoise_coeffs(self.schedule)
-        self._chains: dict[int, tuple[list[np.ndarray], np.ndarray, np.ndarray]] = {}
-
-    def _chain_cache(self, batch: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """The reverse chain's arrays at one batch size: the actor input rows
-        [x_k, state, one-hot(k)] for k = 1..K (index k - 1), with the one-hot
-        columns filled in once, the chain state x and the injected noise."""
-        cache = self._chains.get(batch)
-        if cache is None:
-            k_total, width = self.schedule.k, self.actor.in_dim
-            inputs = [np.zeros((batch, width)) for _ in range(k_total)]
-            for k, inp in enumerate(inputs, start=1):
-                inp[:, width - k_total + k - 1] = 1.0
-            ad = action_dim(self.m, self.n)
-            cache = self._chains[batch] = (inputs, np.empty((batch, ad)), np.empty((batch, ad)))
-        return cache
 
     # -- action generation -------------------------------------------------
 
     def _denoise_chain(self, s_batch: np.ndarray, rng: np.random.Generator, actor: Mlp, record: bool):
         """Run the reverse chain on a batch; optionally keep tapes for backprop.
 
-        Returns ``(u, x, tapes)``: ``u = tanh(x)`` is a fresh array, while
-        ``x``, the last chain state, and with ``record`` the tapes, one per
-        step k = K..1, live in the chain cache of this batch size and stay
-        valid until the next chain at that batch size.
+        Returns ``(u, x, tapes)``: the last chain state ``x`` and ``u =
+        tanh(x)`` are fresh arrays; with ``record`` the tapes, one per step
+        k = K..1, are the actor's tapes of slot k and stay valid until its
+        next ``apply`` at this batch size in that slot.
         """
         batch = s_batch.shape[0]
-        ad = action_dim(self.m, self.n)
-        inputs, x, noise = self._chain_cache(batch)
-        rng.standard_normal(out=x)
+        k_total = self.schedule.k
+        one_hots = np.repeat(np.eye(k_total)[:, None, :], batch, axis=1)  # one_hots[k - 1]: one-hot(k) rows
+        x = rng.standard_normal((batch, action_dim(self.m, self.n)))
         tapes = []
-        for k in range(self.schedule.k, 0, -1):
-            inp = inputs[k - 1]
-            inp[:, :ad] = x
-            inp[:, ad : ad + s_batch.shape[1]] = s_batch
+        for k in range(k_total, 0, -1):
+            inp = np.concatenate([x, s_batch, one_hots[k - 1]], axis=1)
             inv_sqrt_lam, eps_coeff, noise_coeff = self._coeffs[k - 1]
             eps, tape = actor.apply(inp, slot=k if record else None)
-            # x_{k-1} = inv_sqrt_lam x_k - eps_coeff eps (+ noise_coeff z), in place
-            x *= inv_sqrt_lam
-            eps *= eps_coeff
-            x -= eps
+            # x_{k-1} = inv_sqrt_lam x_k - eps_coeff eps (+ noise_coeff z)
+            x = x * inv_sqrt_lam - eps * eps_coeff
             if k > 1:
-                rng.standard_normal(out=noise)
-                noise *= noise_coeff
-                x += noise
+                x = x + rng.standard_normal(x.shape) * noise_coeff
             if record:
                 tapes.append((k, tape, inv_sqrt_lam, eps_coeff))
         return np.tanh(x), x, tapes
@@ -475,13 +454,13 @@ def actor_update(agent: GdmAgent, batch, rng: np.random.Generator) -> float:
     return loss
 
 
-def soft_update(agent: GdmAgent, tau: float | None = None) -> None:
+def soft_update(agent: GdmAgent) -> None:
     """target <- tau * online + (1 - tau) * target for the actor and the
-    critic stack."""
-    t = agent.hp.tau if tau is None else tau
+    critic stack, with ``tau`` from ``agent.hp``."""
+    tau = agent.hp.tau
     for online, target in ((agent.actor, agent.target_actor), (agent.critics, agent.target_critics)):
-        target.params *= 1.0 - t
-        target.params += online.params * t
+        target.params *= 1.0 - tau
+        target.params += online.params * tau
 
 
 def train(agent: GdmAgent, scenario_fn, seed: int) -> tuple[list[dict], Scenario | None]:

@@ -9,23 +9,22 @@ soft target updates and finiteness checks each act on a single vector.
 A network built with ``stack=S`` holds S independent networks of one shape:
 ``params`` has shape (S, P), every layer runs as one stacked matmul, and each
 slice equals a plain network bit for bit.  ``member(i)`` returns network
-``i`` as a plain ``Mlp`` that shares its parameters, and its workspaces,
-with the stack.  The diffusion agent keeps its twin critics, and their
-targets, as stacks of 2.
+``i`` as a plain ``Mlp`` that shares only its parameters with the stack; its
+workspaces are its own.  The diffusion agent keeps its twin critics, and
+their targets, as stacks of 2.
 
-Memory.  Each network keeps workspaces per input row count and reuses them
-on every call: one tape per ``slot`` (per-layer pre-activations and hidden
-activations), one buffer per layer for forward-only passes (``slot=None``)
-and one set of backward scratch.  These workspaces are the only arrays a
-network reuses.  ``apply``'s output and ``grads``' gradients are always
-fresh arrays that the caller owns.  A tape is the exception: it is a view of
-the workspace and stays valid only until the next ``apply`` with the same
-row count and slot.
+Memory.  A network reuses one thing: its forward workspaces, kept per input
+row count.  Each ``slot`` has a tape (per-layer pre-activations and hidden
+activations); forward-only passes (``slot=None``) have one buffer per layer,
+which ``grads`` also uses for its per-layer gradients.  ``apply``'s output
+and ``grads``' results are fresh arrays that the caller owns.  A tape is a
+view of its workspace and stays valid only until the next ``apply`` with the
+same row count and slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,8 +75,6 @@ class Mlp:
         self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
         self._row_biases = [b[..., None, :] for b in self.biases]
         self._tapes: dict[tuple[int, int | None], tuple[GradTape | None, list[np.ndarray]]] = {}
-        self._scratch: dict[int, tuple[list[np.ndarray], list[np.ndarray | None]]] = {}
-        self._owner: tuple[Mlp, int] | None = None  # (stack, index) for a stack member
         if rng is not None:
             # He-style fan-in scaling; a stack draws member by member
             for member in self.params.reshape(-1, size):
@@ -102,54 +99,32 @@ class Mlp:
         return self.widths[0]
 
     def member(self, i: int) -> "Mlp":
-        """Network ``i`` of a stack, sharing its parameters with the stack."""
+        """Network ``i`` of a stack, sharing only its parameters with the stack."""
         if self.stack is None:
             raise ValueError("member() needs a stacked network")
-        net = Mlp(self.widths, self.activations, params=self.params[i])
-        net._owner = (self, i)
-        return net
+        return Mlp(self.widths, self.activations, params=self.params[i])
 
     def _workspace(self, rows: int, slot: int | None) -> tuple[GradTape | None, list[np.ndarray]]:
         """The tape of one slot and its per-layer activation buffers; slot
-        None has no tape and computes activations in place.  A member of a
-        stack uses its slice of the stack's workspace."""
+        None has no tape, computes activations in place and lends its buffers
+        to :meth:`grads`."""
         ws = self._tapes.get((rows, slot))
         if ws is None:
-            if self._owner is not None:
-                stack, i = self._owner
-                tape, acts = stack._workspace(rows, slot)
-                preacts, acts = ([z[i] for z in tape.preacts] if tape else None), [a[i] for a in acts]
-            else:
-                preacts = [np.empty(self._lead + (rows, d)) for d in self.widths[1:]]
-                acts = preacts if slot is None else [z if a == "identity" else np.empty_like(z)
-                                                     for z, a in zip(preacts, self.activations)]
+            preacts = [np.empty(self._lead + (rows, d)) for d in self.widths[1:]]
+            acts = preacts if slot is None else [z if a == "identity" else np.empty_like(z)
+                                                 for z, a in zip(preacts, self.activations)]
             tape = None if slot is None else GradTape([None, *acts[:-1]], preacts, True)
             ws = self._tapes[(rows, slot)] = (tape, acts)
         return ws
-
-    def _backward_scratch(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
-        """Per-width gradient buffers and per-layer activation-derivative
-        buffers (a relu mask, a tanh derivative, nothing for identity); a
-        member of a stack uses its slice of the stack's."""
-        scratch = self._scratch.get(rows)
-        if scratch is None:
-            if self._owner is not None:
-                stack, i = self._owner
-                g, derivs = stack._backward_scratch(rows)
-                g, derivs = [b[i] for b in g], [None if d is None else d[i] for d in derivs]
-            else:
-                g = [np.empty(self._lead + (rows, d)) for d in self.widths]
-                derivs = [np.empty(z.shape, bool) if a == "relu" else np.empty_like(z) if a == "tanh" else None
-                          for z, a in zip(g[1:], self.activations)]
-            scratch = self._scratch[rows] = (g, derivs)
-        return scratch
 
     def apply(self, x: np.ndarray, slot: int | None = 0) -> tuple[np.ndarray, GradTape | None]:
         """Forward pass returning a fresh output array and the gradient tape
         of ``slot``.
 
-        ``slot=None`` runs a forward-only pass and returns no tape.  A
-        stacked network takes a shared (rows, in) input or one per member,
+        The tape is the workspace of (rows, ``slot``): the next ``apply``
+        with that row count and slot overwrites it.  ``slot=None`` runs a
+        forward-only pass in its own buffers and returns no tape.  A stacked
+        network takes a shared (rows, in) input or one per member,
         (S, rows, in), and returns (S, rows, out).
         """
         x = np.asarray(x, dtype=float)
@@ -180,34 +155,31 @@ class Mlp:
         ``params`` and summed over the batch, ``dx`` keeps the batch axis of
         the forward input.  ``wrt="params"`` skips the input gradient and
         ``wrt="input"`` the parameter gradient; the skipped one is returned
-        as None.
+        as None.  The per-layer gradients are written to the ``slot=None``
+        buffers of the tape's row count, so no tape is touched.
         """
         if wrt not in ("both", "params", "input"):
             raise ValueError(f"unknown wrt {wrt!r}")
         upstream = np.asarray(upstream, dtype=float)
         g = upstream if tape.batched else upstream[..., None, :]
-        g_bufs, d_bufs = self._backward_scratch(tape.preacts[0].shape[-2])
+        _, bufs = self._workspace(tape.preacts[0].shape[-2], None)
         grad = None
         if wrt != "input":
             grad = np.empty_like(self.params)
             dws, dbs = self._layer_views(grad)
         for i in reversed(range(len(self.weights))):
-            act, z, d = self.activations[i], tape.preacts[i], d_bufs[i]
+            act, z = self.activations[i], tape.preacts[i]
             if act == "relu":
-                np.greater(z, 0.0, out=d)
-                g = np.multiply(g, d, out=g_bufs[i + 1])
+                g = np.multiply(g, z > 0.0, out=bufs[i])
             elif act == "tanh":
-                np.tanh(z, out=d)
-                np.square(d, out=d)
-                np.subtract(1.0, d, out=d)
-                g = np.multiply(g, d, out=g_bufs[i + 1])
+                g = np.multiply(g, 1.0 - np.square(np.tanh(z)), out=bufs[i])
             if grad is not None:
                 np.matmul(tape.inputs[i].swapaxes(-1, -2), g, out=dws[i])
                 np.add.reduce(g, axis=-2, out=dbs[i])
             if i == 0 and wrt == "params":
                 return grad, None
-            g = np.matmul(g, self._weights_t[i], out=g_bufs[i])
-        return grad, (g if tape.batched else g[..., 0, :]).copy()
+            g = np.matmul(g, self._weights_t[i], out=bufs[i - 1]) if i else g @ self._weights_t[0]
+        return grad, g if tape.batched else g[..., 0, :]
 
     def copy_from(self, other: "Mlp") -> None:
         self.params[...] = other.params
@@ -220,8 +192,7 @@ class Mlp:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one parameter vector, plus two
-    temporaries of its shape that ``adam_step`` reuses."""
+    """First/second moment accumulators for one parameter vector."""
 
     m: np.ndarray
     v: np.ndarray
@@ -229,10 +200,6 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    _tmp: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._tmp = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def for_net(cls, net: Mlp) -> "AdamState":
@@ -244,22 +211,19 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
 
     Evaluates m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t) and
     params -= lr * m_hat / (sqrt(v_hat) + eps) operation by operation in
-    that order, in the state's two temporaries.
+    that order, in two fresh arrays updated in place: no more than two
+    parameter-sized temporaries are alive at once.
     """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    m, v = state.m, state.v
-    a, b = state._tmp
-    m *= b1
-    m += np.multiply(grads, 1 - b1, out=a)
-    v *= b2
-    np.multiply(grads, 1 - b2, out=a)
-    a *= grads
-    v += a
-    np.divide(m, 1 - b1**state.t, out=a)  # m_hat
-    np.divide(v, 1 - b2**state.t, out=b)  # v_hat
-    np.sqrt(b, out=b)
-    b += state.eps
-    a *= lr
-    a /= b
-    params -= a
+    state.m *= b1
+    state.m += grads * (1 - b1)
+    state.v *= b2
+    state.v += grads * (1 - b2) * grads
+    step = state.m / (1 - b1**state.t)  # m_hat
+    denom = state.v / (1 - b2**state.t)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step *= lr
+    step /= denom
+    params -= step

@@ -26,7 +26,7 @@ from .econ import (
     db_to_linear,
     dbm_to_watts,
 )
-from .solver import SearchSpec
+from .solver import MAX_GRIDS, SearchSpec, monotone_grid_count
 
 __all__ = ["ExperimentConfig", "sample_scenario", "load_config", "config_hash"]
 
@@ -193,6 +193,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     sc = cfg.scenario
     if (sc.m, sc.n) != (2, 2):
         raise ValueError("[scenario] m and n must be 2: sampling is defined for 2x2 type grids")
+    # solve_grid enumerates every monotone grid of each axis up front
+    if monotone_grid_count(cfg.search.grid_points, sc.m, sc.n) > MAX_GRIDS:
+        raise ValueError(f"[search] grid_points = {cfg.search.grid_points} gives more than {MAX_GRIDS} "
+                         f"monotone grids per axis on the {sc.m}x{sc.n} lattice")
     for name, low in (("episodes", 1), ("steps", 1), ("batch_size", 1), ("buffer_capacity", 1),
                       ("hidden_width", 1), ("hidden_layers", 0)):
         if getattr(cfg.training, name) < low:

@@ -31,6 +31,7 @@ one batched route, :func:`feasibility.minimal_rewards` then
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +53,18 @@ from .feasibility import minimal_rewards, monotone_descents
 from .econ import pt_expected  # noqa: F401
 from .feasibility import minimal_reward_oracle, optimal_rewards  # noqa: F401
 
-__all__ = ["SearchSpec", "SolveResult", "solve_grid", "refine_local", "monotone_grids"]
+__all__ = ["SearchSpec", "SolveResult", "solve_grid", "refine_local", "monotone_grids",
+           "monotone_grid_count", "MAX_GRIDS"]
 
 # candidates per array pass of solve_grid after the first, which is one
 # b-grid's f-grids (at most CHUNK of them); bounds the memory of a pass: the
 # relaxation's (MN, MN, CHUNK) float weight tensor stays within 0.5 MB up to
 # a 3 x 3 lattice
 CHUNK = 768
+
+# the most monotone grids per axis a configured search may enumerate; admits
+# a 3 x 3 lattice at 9 points (259 545 grids) and 4 x 4 at 5 (232 848)
+MAX_GRIDS = 10**6
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,15 @@ def monotone_grids(levels: np.ndarray, m: int, n: int) -> np.ndarray:
         prefix, level = np.nonzero(levels >= lo[:, None])
         grids = np.column_stack([grids[prefix], levels[level]])
     return grids.reshape(-1, m, n)
+
+
+def monotone_grid_count(points: int, m: int, n: int) -> int:
+    """``len(monotone_grids(levels, m, n))`` for ``points`` levels, without
+    enumerating: MacMahon's count of plane partitions in an m x n x
+    (points - 1) box, the product over cells (i, j), from 1, of
+    (i + j + points - 2) / (i + j - 1)."""
+    cells = list(itertools.product(range(1, m + 1), range(1, n + 1)))
+    return math.prod(i + j + points - 2 for i, j in cells) // math.prod(i + j - 1 for i, j in cells)
 
 
 def _complete_and_score(b, f, grid, ch, hmd, sens, pt):

@@ -324,13 +324,16 @@ def test_soft_update_endpoints_and_contraction():
     agent.target_actor.params += 1.0
     gap0 = agent.target_actor.params - online
 
-    df.soft_update(agent, tau=0.0)
+    agent.hp.tau = 0.0
+    df.soft_update(agent)
     assert np.allclose(agent.target_actor.params, online + gap0)
 
-    df.soft_update(agent, tau=0.5)
+    agent.hp.tau = 0.5
+    df.soft_update(agent)
     assert np.allclose(agent.target_actor.params, online + 0.5 * gap0)
 
-    df.soft_update(agent, tau=1.0)
+    agent.hp.tau = 1.0
+    df.soft_update(agent)
     assert np.allclose(agent.target_actor.params, online)
 
 
@@ -496,6 +499,15 @@ def test_denoise_chain_matches_allocating_reference(rng):
             assert np.array_equal(u, u_ref) and np.array_equal(x, x_ref)
 
 
+def test_denoise_chain_state_survives_a_later_chain(rng):
+    agent = _small_agent(seed=9)
+    s1, s2 = rng.standard_normal((2, 8, df.state_dim(2, 2)))
+    u, x, _ = agent._denoise_chain(s1, np.random.default_rng(1), agent.actor, record=True)
+    kept = x.copy()
+    agent._denoise_chain(s2, np.random.default_rng(2), agent.actor, record=True)
+    assert np.array_equal(x, kept) and np.array_equal(u, np.tanh(kept))
+
+
 def test_actor_gradient_matches_allocating_reference(rng):
     agent = _small_agent(seed=10, varpi=0.2, tanh_grad_floor=0.1)
     for i in range(3):
@@ -509,7 +521,7 @@ def test_actor_gradient_matches_allocating_reference(rng):
 def test_critic_update_equals_two_independent_critics(rng):
     # the stacked update must move each critic exactly as the per-critic loop did
     agent = _small_agent(seed=11, gamma=0.9)
-    critics = [agent.critic1.clone(), agent.critic2.clone()]
+    critics = [agent.critics.member(i).clone() for i in range(2)]
     targets = [agent.target_critics.member(i).clone() for i in range(2)]
     opts = [AdamState.for_net(c) for c in critics]
     for i in range(3):

@@ -144,6 +144,8 @@ def test_sample_scenario_first_type_mean(rng):
 
 @pytest.mark.parametrize("text, match", [
     ("[search]\ngrid_points = 1\n", "grid_points"),
+    ("[search]\ngrid_points = 1000\n", "grid_points = 1000 gives more than"),
+    ("[search]\ngrid_points = 58\n", "grid_points = 58 gives more than"),
     ("[search]\nb_min = 5\nb_max = 1\n", "b_min"),
     ("[scenario]\nm = 3\n", "2x2"),
     ("[training]\nepisodes = 0\n", "episodes"),
@@ -361,6 +363,7 @@ def test_cli_non_integer_env_seed_exits_2(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("text", [
     "[search]\ngrid_points = 1\n",
+    "[search]\ngrid_points = 1000\n",
     "[scenario]\nm = 3\n",
     "[training]\nepisodes = 0\n",
     "[scenario]\ntheta1_range = 100, 200\ntheta2_range = 10, 50\n",

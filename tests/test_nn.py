@@ -244,10 +244,9 @@ def test_recorded_slots_keep_their_tapes():
     assert tape is None and np.array_equal(y, net.apply(x1)[0])
 
 
-def test_tapes_reuse_one_workspace_per_slot_and_share_it_with_stack_members():
+def test_tapes_reuse_one_workspace_per_slot():
     # the reuse that keeps a training step from allocating: repeated passes
-    # at one row count and slot write into one workspace, and a stack
-    # member writes into its slice of the stack's
+    # at one row count and slot write into one workspace
     rng = np.random.default_rng(14)
     net = Mlp([3, 5, 2], ["relu", "identity"], rng)
     x1, x2 = rng.standard_normal((2, 4, 3))
@@ -255,11 +254,41 @@ def test_tapes_reuse_one_workspace_per_slot_and_share_it_with_stack_members():
     _, tape2 = net.apply(x2, slot=1)
     for z1, z2 in zip(tape1.preacts, tape2.preacts):
         assert np.shares_memory(z1, z2)
+
+
+def test_stack_member_tape_survives_a_stack_apply():
+    # a member shares only its parameters with the stack, not its workspaces
+    rng = np.random.default_rng(16)
     stack = Mlp([3, 5, 2], ["relu", "identity"], rng, stack=2)
-    _, stack_tape = stack.apply(x1)
-    _, member_tape = stack.member(1).apply(x1)
-    for z_stack, z_member in zip(stack_tape.preacts, member_tape.preacts):
-        assert np.shares_memory(z_stack, z_member)
+    member = stack.member(1)
+    x1, x2 = rng.standard_normal((2, 4, 3))
+    y, tape = member.apply(x1)
+    kept = [z.copy() for z in tape.preacts]
+    stack.apply(x2)
+    assert all(np.array_equal(z, z_kept) for z, z_kept in zip(tape.preacts, kept))
+    grad, dx = member.grads(tape, np.ones_like(y))
+    y_again, tape_again = member.apply(x1)
+    assert np.array_equal(y, y_again)
+    grad_again, dx_again = member.grads(tape_again, np.ones_like(y))
+    assert np.array_equal(grad, grad_again) and np.array_equal(dx, dx_again)
+
+
+def test_backward_shares_only_the_forward_only_buffers():
+    # grads computes its layer gradients in the slot=None buffers: a
+    # forward-only pass before the backward changes no gradient, and the
+    # backward changes no later forward-only output
+    rng = np.random.default_rng(17)
+    net = Mlp([3, 5, 5, 2], ["relu", "tanh", "identity"], rng)
+    x1, x2 = rng.standard_normal((2, 4, 3))
+    y, tape = net.apply(x1)
+    up = rng.standard_normal(y.shape)
+    y2, _ = net.apply(x2, slot=None)
+    grad, dx = net.grads(tape, up)
+    ref_grad, ref_dx = mlp_reference_grads(net, mlp_reference_apply(net, x1)[1], up)
+    assert np.allclose(grad, ref_grad) and np.allclose(dx, ref_dx)
+    assert np.array_equal(net.apply(x2, slot=None)[0], y2)
+    again, dx_again = net.grads(tape, up)
+    assert np.array_equal(again, grad) and np.array_equal(dx_again, dx)
 
 
 def test_input_only_and_params_only_backward_match_full_backward():

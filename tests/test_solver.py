@@ -18,7 +18,13 @@ from edgecontract.econ import (
     pt_expected,
 )
 from edgecontract.scenario import ExperimentConfig, sample_scenario
-from edgecontract.solver import SearchSpec, monotone_grids, refine_local, solve_grid
+from edgecontract.solver import (
+    SearchSpec,
+    monotone_grid_count,
+    monotone_grids,
+    refine_local,
+    solve_grid,
+)
 
 from conftest import make_grid, simple_channel, simple_hmd, simple_sens
 
@@ -57,11 +63,19 @@ def test_monotone_grids_match_brute_force_enumeration(shape, count):
     assert len(got) == count
     # and on the whole stack at once
     assert np.array_equal(~fz.monotone_descents(every).any(axis=(-3, -2, -1)), verdicts)
-    # solve_grid enumerates level indices once and indexes both level sets
-    for points in (3, 5):
+    # solve_grid enumerates level indices once and indexes both level sets;
+    # load_config bounds their number in closed form
+    for points in (3, 4, 5):
         levels = np.linspace(0.0, 3.0, points)
         idx = monotone_grids(np.arange(points), *shape).astype(int)
         assert np.array_equal(monotone_grids(levels, *shape), levels[idx])
+        assert monotone_grid_count(points, *shape) == len(idx)
+
+
+def test_monotone_grid_count_admits_the_largest_benchmarked_lattices():
+    assert monotone_grid_count(9, 3, 3) == 259_545
+    assert monotone_grid_count(5, 4, 4) == 232_848
+    assert monotone_grid_count(1000, 2, 2) > solver.MAX_GRIDS >= 259_545
 
 
 def test_solve_grid_matches_independent_enumeration(rng):
