@@ -22,10 +22,12 @@ __all__ = [
     "downlink_rate",
     "immersion",
     "latency",
+    "buyer_value",
     "utility_matrix",
     "eut_expected",
     "prob_weight",
     "pt_value",
+    "pt_weights",
     "pt_objective",
     "pt_expected",
     "dbm_to_watts",
@@ -255,6 +257,15 @@ def latency(b, ch: ChannelParams):
     return out
 
 
+def buyer_value(b, f, ch: ChannelParams, hmd: HMDParams, sens: SensitivityParams) -> np.ndarray:
+    """The buyer's value of resources before payment, alpha*immersion -
+    beta*latency, elementwise over (..., M, N); a buyer utility is this
+    minus the reward R."""
+    imm = _as_array(immersion(b, f, ch, hmd))
+    lat = _as_array(latency(b, ch))
+    return sens.alpha_imm * imm - sens.beta_lat * lat
+
+
 def utility_matrix(
     menu: ContractMenu,
     grid: TypeGrid,
@@ -264,14 +275,7 @@ def utility_matrix(
 ) -> np.ndarray:
     """Per-type buyer utilities U_{m,n} as an (M, N) array."""
     menu.check_dims(grid)
-    return _buyer_utilities(menu.b, menu.f, menu.r, ch, hmd, sens)
-
-
-def _buyer_utilities(b, f, r, ch, hmd, sens) -> np.ndarray:
-    """alpha*immersion - beta*latency - R, elementwise over (..., M, N)."""
-    imm = _as_array(immersion(b, f, ch, hmd))
-    lat = _as_array(latency(b, ch))
-    return sens.alpha_imm * imm - sens.beta_lat * lat - r
+    return buyer_value(menu.b, menu.f, ch, hmd, sens) - menu.r
 
 
 def eut_expected(menu, grid, ch, hmd, sens) -> float:
@@ -291,36 +295,43 @@ def prob_weight(p, coeff: float):
 
 
 def pt_value(u, pt: PTParams):
-    """Reference-dependent value: gains curve above u_ref, loss-averse below."""
+    """Reference-dependent value: gains curve above u_ref, loss-averse below.
+
+    A NaN utility has a NaN value."""
     u = _as_array(u)
-    gain = np.where(u >= pt.u_ref, u - pt.u_ref, 0.0)
+    # NaN fails u < u_ref, so it takes the gain branch and stays NaN
+    gain = np.where(u < pt.u_ref, 0.0, u - pt.u_ref)
     loss = np.where(u < pt.u_ref, pt.u_ref - u, 0.0)
     out = np.where(
-        u >= pt.u_ref,
-        gain**pt.delta_plus,
+        u < pt.u_ref,
         -pt.kappa * loss**pt.delta_minus,
+        gain**pt.delta_plus,
     )
     if out.ndim == 0:
         return float(out)
     return out
 
 
+def pt_weights(grid: TypeGrid, pt: PTParams) -> np.ndarray:
+    """(M, N) weights of the per-type PT values: the raw probabilities
+    Q_{m,n}, or their inverse-S transform when ``pt.use_weighting`` is on."""
+    if not pt.use_weighting:
+        return grid.q
+    # zero-probability cells contribute nothing; transform only positives
+    w = np.zeros_like(grid.q)
+    pos = grid.q > 0
+    w[pos] = prob_weight(grid.q[pos], pt.weight_coeff)
+    return w
+
+
 def pt_objective(b, f, r, grid, ch, hmd, sens, pt: PTParams) -> np.ndarray:
     """Prospect-theory expected buyer utility of menus stacked as (..., M, N)
-    arrays of ``b``, ``f`` and ``r``; one value per leading index.
-
-    Weights are the raw probabilities Q_{m,n}, or their inverse-S transform
-    when ``pt.use_weighting`` is on.
+    arrays of ``b``, ``f`` and ``r``; one value per leading index: the
+    :func:`pt_weights`-weighted sum of :func:`pt_value` of
+    :func:`buyer_value` minus R.
     """
-    u = _buyer_utilities(b, f, r, ch, hmd, sens)
-    if pt.use_weighting:
-        # zero-probability cells contribute nothing; transform only positives
-        w = np.zeros_like(grid.q)
-        pos = grid.q > 0
-        w[pos] = prob_weight(grid.q[pos], pt.weight_coeff)
-    else:
-        w = grid.q
-    return np.sum(w * pt_value(u, pt), axis=(-2, -1))
+    u = buyer_value(b, f, ch, hmd, sens) - r
+    return np.sum(pt_weights(grid, pt) * pt_value(u, pt), axis=(-2, -1))
 
 
 def pt_expected(menu, grid, ch, hmd, sens, pt: PTParams) -> float:

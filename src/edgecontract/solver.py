@@ -9,14 +9,24 @@ objective is nonincreasing in every reward entry.
 Both searches are exact: each returns, bit for bit, what completing and
 scoring every candidate (every probe) one at a time returns, but completes
 only the ones that can change the answer.  Both complete and score through
-one batched route, :func:`feasibility.minimal_rewards` then
-:func:`econ.pt_objective` on the feasible rows.
+one batched route, :func:`feasibility.minimal_rewards` then, on the
+feasible rows, the weighted sum of ``pt_value(value - r)``, where ``value``
+is the buyer's R-free value ``alpha*immersion - beta*latency``
+(:func:`econ.buyer_value`).  A grid candidate's b and f take only
+``grid_points`` levels per cell, so :func:`solve_grid` evaluates
+``buyer_value`` once per scenario on the (b level, f level, M, N) table and
+reads every candidate's values, and every bound, from it; the pattern
+search's probes are off the levels and get theirs from ``buyer_value``.
+The level-index grids of a (``grid_points``, M, N) are enumerated once per
+process and shared read-only.
 
 * :func:`solve_grid` is a best-first branch and bound (Land & Doig 1960)
   over b-grids.  Minimal rewards never fall below the IR bounds
   ``b^2/theta + f^2/sigma``, ``pt_value`` is nondecreasing and the weights
   are nonnegative, so scoring a b-grid at the IR rewards with, cell by cell,
-  its best f level bounds every candidate that shares the b-grid.  b-grids
+  its best f level bounds every candidate that shares the b-grid; the
+  table's ``pt_value`` at the IR rewards, maximised over f levels, gives
+  every b-grid's bound in one gather and one weighted sum.  b-grids
   are visited in descending bound order until a bound falls strictly below
   the incumbent; ties go to the lower b-major, f-minor index.  The first
   pass completes the best-bound b-grid alone, so that every later pass, of
@@ -30,6 +40,7 @@ one batched route, :func:`feasibility.minimal_rewards` then
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,9 +54,9 @@ from .econ import (
     PTParams,
     SensitivityParams,
     TypeGrid,
-    _buyer_utilities,
-    pt_objective,
+    buyer_value,
     pt_value,
+    pt_weights,
 )
 from .feasibility import minimal_rewards, monotone_descents
 
@@ -136,45 +147,74 @@ def monotone_grid_count(points: int, m: int, n: int) -> int:
     return math.prod(i + j + points - 2 for i, j in cells) // math.prod(i + j - 1 for i, j in cells)
 
 
-def _complete_and_score(b, f, grid, ch, hmd, sens, pt):
+@functools.lru_cache(maxsize=4)
+def _level_grids(points: int, m: int, n: int) -> np.ndarray:
+    """The (K, m, n) monotone grids of level indices ``0 .. points - 1``, as
+    one read-only array shared by every call with the same arguments.
+
+    Raises ``ValueError``, before enumerating, when there are more than
+    :data:`MAX_GRIDS` of them.
+    """
+    if monotone_grid_count(points, m, n) > MAX_GRIDS:
+        raise ValueError(f"grid_points = {points} gives more than {MAX_GRIDS} "
+                         f"monotone grids on a {m} x {n} lattice")
+    idx = monotone_grids(np.arange(points), m, n).astype(int)
+    idx.setflags(write=False)
+    return idx
+
+
+def _value_table(b_levels, f_levels, grid, ch, hmd, sens):
+    """(b level, f level, M, N) table of :func:`econ.buyer_value`: every
+    value a grid candidate's cell can take."""
+    shape = (len(b_levels), len(f_levels), grid.m, grid.n)
+    b = np.broadcast_to(b_levels[:, None, None, None], shape).copy()
+    f = np.broadcast_to(f_levels[None, :, None, None], shape).copy()
+    return buyer_value(b, f, ch, hmd, sens)
+
+
+def _score(v, w):
+    """PT objectives of a (C, M, N) stack of per-cell PT values under (M, N)
+    weights; every candidate score, probe score and b-grid bound is this sum."""
+    return np.sum(w * v, axis=(-2, -1))
+
+
+def _complete_and_score(b, f, grid, ch, hmd, sens, pt, value=None):
     """Minimal rewards and PT objectives of a (C, M, N) batch of (b, f) grids.
 
+    ``value`` holds the rows' buyer values (:func:`econ.buyer_value`) when
+    the caller has them; without it they are evaluated on the feasible rows.
     Returns ``(r, feasible, obj)``.  Only feasible rows are scored; an
     infeasible row (positive IC cycle, not implementable) or a NaN objective
     scores -inf, so it never wins a comparison.
     """
     r, feasible = minimal_rewards(b, f, grid)
+    if value is None:
+        value = buyer_value(b[feasible], f[feasible], ch, hmd, sens)
+    else:
+        value = value[feasible]
     obj = np.full(len(b), -np.inf)
-    obj[feasible] = pt_objective(b[feasible], f[feasible], r[feasible], grid, ch, hmd, sens, pt)
+    obj[feasible] = _score(pt_value(value - r[feasible], pt), pt_weights(grid, pt))
     obj[np.isnan(obj)] = -np.inf  # np.argmax would pick a NaN
     return r, feasible, obj
 
 
-def _b_grid_bounds(b_levels, f_levels, b_idx, grid, ch, hmd, sens, pt):
+def _b_grid_bounds(value, b_levels, f_levels, b_idx, grid, pt):
     """An upper bound on the PT objective of every candidate whose b-grid is
     ``b_levels[b_idx[k]]``, one per k; a NaN bound never prunes.
 
-    Each b-grid is scored by :func:`pt_objective` at the IR rewards with,
-    cell by cell, the f level that scores best there.  The IR rewards use the
-    expression :func:`feasibility.minimal_rewards` starts from, and that
-    function only raises them, so the bound holds in floating point too.
+    ``value`` is the :func:`_value_table` of the levels.  Each b-grid is
+    scored at the IR rewards with, cell by cell, the f level that scores
+    best there.  The IR rewards use the expression
+    :func:`feasibility.minimal_rewards` starts from, and that function only
+    raises them, so the bound holds in floating point too.
     """
     inv_t = (1.0 / grid.theta)[:, None]
     inv_s = (1.0 / grid.sigma)[None, :]
-
-    def ir_rewards(b, f):
-        return np.square(b) * inv_t + np.square(f) * inv_s
-
-    # (b level, f level, M, N) table of per-cell values at the IR rewards
-    shape = (len(b_levels), len(f_levels), grid.m, grid.n)
-    b = np.broadcast_to(b_levels[:, None, None, None], shape).copy()
-    f = np.broadcast_to(f_levels[None, :, None, None], shape).copy()
-    value = pt_value(_buyer_utilities(b, f, ir_rewards(b, f), ch, hmd, sens), pt)
-    best_f = f_levels[np.argmax(value, axis=1)]  # (b level, M, N)
-
-    b_cands = b_levels[b_idx]
-    f_best = best_f[b_idx, np.arange(grid.m)[:, None], np.arange(grid.n)]
-    return pt_objective(b_cands, f_best, ir_rewards(b_cands, f_best), grid, ch, hmd, sens, pt)
+    ir = (np.square(b_levels)[:, None, None, None] * inv_t
+          + np.square(f_levels)[None, :, None, None] * inv_s)
+    best = pt_value(value - ir, pt).max(axis=1)  # (b level, M, N)
+    cells = np.arange(grid.m)[:, None], np.arange(grid.n)
+    return _score(best[(b_idx, *cells)], pt_weights(grid, pt))
 
 
 def solve_grid(
@@ -198,17 +238,20 @@ def solve_grid(
     :data:`CHUNK`), so that the passes after it, of at most :data:`CHUNK`
     candidates each, complete only b-grids still in play against a real
     incumbent.  ``evaluations`` is every candidate, scored or bounded out.
+    Raises ``ValueError``, before enumerating, when ``grid_points`` gives
+    more than :data:`MAX_GRIDS` monotone grids on the lattice.
     """
     b_levels = np.linspace(spec.b_range[0], spec.b_range[1], spec.grid_points)
     f_levels = np.linspace(spec.f_range[0], spec.f_range[1], spec.grid_points)
     # both level sets are increasing, so one enumeration of level indices
     # gives the b-grids and the f-grids alike
-    idx = monotone_grids(np.arange(spec.grid_points), grid.m, grid.n).astype(int)
-    b_cands, f_cands = b_levels[idx], f_levels[idx]
-    n_f = len(f_cands)
-    total = len(b_cands) * n_f
+    idx = _level_grids(spec.grid_points, grid.m, grid.n)
+    cells = np.arange(grid.m)[:, None], np.arange(grid.n)
+    n_f = len(idx)
+    total = n_f * n_f
 
-    bound = _b_grid_bounds(b_levels, f_levels, idx, grid, ch, hmd, sens, pt)
+    value = _value_table(b_levels, f_levels, grid, ch, hmd, sens)
+    bound = _b_grid_bounds(value, b_levels, f_levels, idx, grid, pt)
     bound = np.where(np.isnan(bound), np.inf, bound)
     visit = np.argsort(-bound, kind="stable")
     bound = bound[visit]
@@ -222,8 +265,9 @@ def solve_grid(
             break
         j = np.arange(start, min(stop, live))
         k = visit[j // n_f] * n_f + j % n_f
+        kb, kf = idx[k // n_f], idx[k % n_f]
         r, _, obj = _complete_and_score(
-            b_cands[k // n_f], f_cands[k % n_f], grid, ch, hmd, sens, pt
+            b_levels[kb], f_levels[kf], grid, ch, hmd, sens, pt, value[(kb, kf, *cells)]
         )
         top = obj.max()
         i = int(np.argmin(np.where(obj == top, k, total)))  # lowest index among the best
@@ -233,7 +277,7 @@ def solve_grid(
         stop = start + CHUNK
     if best_k < 0:
         raise FloatingPointError("no monotone candidate has a comparable PT objective")
-    menu = ContractMenu(b=b_cands[best_k // n_f], f=f_cands[best_k % n_f], r=best_r)
+    menu = ContractMenu(b=b_levels[idx[best_k // n_f]], f=f_levels[idx[best_k % n_f]], r=best_r)
     return SolveResult(menu=menu, objective=best_obj, evaluations=total)
 
 

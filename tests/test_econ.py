@@ -11,6 +11,7 @@ from edgecontract.econ import (
     HMDParams,
     PTParams,
     TypeGrid,
+    buyer_value,
     db_to_linear,
     dbm_to_watts,
     downlink_rate,
@@ -19,7 +20,9 @@ from edgecontract.econ import (
     latency,
     prob_weight,
     pt_expected,
+    pt_objective,
     pt_value,
+    pt_weights,
     utility_matrix,
 )
 from edgecontract.feasibility import own_utilities
@@ -223,6 +226,24 @@ def test_pt_value_losses_scale_with_aversion(u, k1, k2):
     assert pt_value(u, PTParams(kappa=hi, **base)) <= pt_value(u, PTParams(kappa=lo, **base))
 
 
+def test_pt_value_propagates_nan():
+    # a NaN utility is not a utility at the reference point: its value, and
+    # the objective of a menu holding it, must stay NaN
+    pt = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=2.25, u_ref=10.0)
+    out = pt_value(np.array([np.nan, -1.0, 30.0, 10.0]), pt)
+    assert np.isnan(out[0])
+    # the other entries are each branch's expression, bit for bit
+    assert out[1] == -2.25 * 11.0**0.88
+    assert out[2] == 20.0**0.88
+    assert out[3] == 0.0
+    assert np.isnan(pt_value(np.nan, pt))
+    grid = TypeGrid(theta=[50.0, 100.0], sigma=[50.0, 100.0], q=np.full((2, 2), 0.25))
+    b = np.full((2, 2), 5.0)
+    r = np.array([[0.0, np.nan], [0.0, 0.0]])
+    obj = pt_objective(b, b / 5.0, r, grid, simple_channel(), simple_hmd(), simple_sens(), pt)
+    assert np.isnan(obj)
+
+
 def test_prob_weight_fixed_points():
     for coeff in (0.3, 1.0, 2.5):
         assert prob_weight(1.0, coeff) == pytest.approx(1.0, abs=1e-12)
@@ -284,6 +305,27 @@ def test_pt_expected_with_weighting_uses_transformed_mass(rng):
     u = utility_matrix(menu, grid, ch, hmd, sens)
     expect = float(np.sum(prob_weight(grid.q, 0.6) * pt_value(u, pt)))
     assert pt_expected(menu, grid, ch, hmd, sens, pt) == pytest.approx(expect, rel=1e-12)
+
+
+def test_pt_objective_composes_buyer_value_and_pt_weights(rng):
+    grid = make_grid(rng)
+    q = np.array([[0.0, 0.3], [0.3, 0.4]])
+    zero_cell = TypeGrid(theta=grid.theta, sigma=grid.sigma, q=q)
+    ch, hmd, sens = simple_channel(), simple_hmd(), simple_sens()
+    b = rng.uniform(0.5, 10.0, (3, 2, 2))
+    f = rng.uniform(0.0, 3.0, (3, 2, 2))
+    r = rng.uniform(0.0, 50.0, (3, 2, 2))
+    for weighting in (False, True):
+        pt = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=0.5, u_ref=10.0,
+                      weight_coeff=0.6, use_weighting=weighting)
+        w = pt_weights(zero_cell, pt)
+        assert w[0, 0] == 0.0
+        assert np.array_equal(w[q > 0], prob_weight(q[q > 0], 0.6) if weighting else q[q > 0])
+        expect = np.sum(w * pt_value(buyer_value(b, f, ch, hmd, sens) - r, pt), axis=(-2, -1))
+        assert np.array_equal(pt_objective(b, f, r, zero_cell, ch, hmd, sens, pt), expect)
+    menu = ContractMenu(b=b[0], f=f[0], r=r[0])
+    assert np.array_equal(utility_matrix(menu, grid, ch, hmd, sens),
+                          buyer_value(b[0], f[0], ch, hmd, sens) - r[0])
 
 
 # -- unit conversions -------------------------------------------------------

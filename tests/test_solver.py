@@ -1,6 +1,10 @@
 """Exact (bounded) monotone grid search and local refinement."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -78,6 +82,65 @@ def test_monotone_grid_count_admits_the_largest_benchmarked_lattices():
     assert monotone_grid_count(1000, 2, 2) > solver.MAX_GRIDS >= 259_545
 
 
+def test_solve_grid_refuses_too_many_grids_before_enumerating(rng, monkeypatch):
+    # called directly, not through load_config, solve_grid still bounds the
+    # enumeration: the count is checked in closed form first
+    def never(*a):
+        raise AssertionError("monotone_grids ran on an unbounded grid_points")
+
+    monkeypatch.setattr(solver, "monotone_grids", never)
+    args = (make_grid(rng), simple_channel(), simple_hmd(), simple_sens(), _pt())
+    with pytest.raises(ValueError, match="grid_points = 1000"):
+        solve_grid(SearchSpec(grid_points=1000), *args)
+
+
+def test_level_grids_are_cached_read_only():
+    idx = solver._level_grids(3, 2, 3)
+    assert solver._level_grids(3, 2, 3) is idx
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0, 0, 0] = 1
+    assert np.array_equal(idx, monotone_grids(np.arange(3), 2, 3).astype(int))
+
+
+# (grid_points, M, N) keys: one more than the level-grid cache holds, so the
+# interleaved order below evicts and refills it
+_CACHE_KEYS = [(3, 2, 2), (5, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2)]
+
+
+def _solve_digests(order):
+    """Objective, evaluation count and menu of one solve per key in
+    ``order``, on a scenario drawn from the key, as comparable strings; a key
+    solved again must give the same string."""
+    out = {}
+    for points, m, n in order:
+        rng = np.random.default_rng((31, points, m, n))
+        shape = (m, n)
+        args = (
+            make_grid(rng, m, n),
+            simple_channel(d=rng.uniform(10.0, 80.0, shape)),
+            simple_hmd(s_eff=rng.uniform(1.5, 3.0, shape), mu=rng.uniform(0.2, 1.0, shape)),
+            simple_sens(),
+            _pt(),
+        )
+        res = solve_grid(SearchSpec(grid_points=points), *args)
+        menu = np.stack([res.menu.b, res.menu.f, res.menu.r])
+        digest = f"{res.objective.hex()} {res.evaluations} {menu.tobytes().hex()}"
+        assert out.setdefault(f"{points},{m},{n}", digest) == digest
+    return out
+
+
+def test_interleaved_solves_match_a_fresh_process():
+    here = _solve_digests(_CACHE_KEYS * 2 + _CACHE_KEYS[::-1])
+    code = ("import json, test_solver as t; "
+            "print(json.dumps(t._solve_digests(t._CACHE_KEYS)))")
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert json.loads(proc.stdout.splitlines()[-1]) == here
+
+
 def test_solve_grid_matches_independent_enumeration(rng):
     grid = make_grid(rng)
     ch, hmd, sens, pt = simple_channel(), simple_hmd(), simple_sens(), _pt()
@@ -121,15 +184,21 @@ def _per_candidate_solve(spec, grid, ch, hmd, sens, pt):
     return best_menu, best_obj, evals
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=lambda s: "%dx%d" % s)
-def test_solve_grid_equals_per_candidate_loop(rng, monkeypatch, shape):
+# use_weighting=True keeps the plain lattice id; the default config's
+# raw-probability branch is compared too
+@pytest.mark.parametrize("shape,weighting", [
+    pytest.param(shape, weighting, id="%dx%d" % shape + ("" if weighting else "-unweighted"))
+    for shape in [(2, 2), (2, 3), (3, 2), (3, 3)]
+    for weighting in (True, False)
+])
+def test_solve_grid_equals_per_candidate_loop(rng, monkeypatch, shape, weighting):
     m, n = shape
     grid = make_grid(rng, m, n)
     ch = simple_channel(d=rng.uniform(10.0, 80.0, shape))
     hmd = simple_hmd(s_eff=rng.uniform(1.5, 3.0, shape), mu=rng.uniform(0.2, 1.0, shape))
     sens = simple_sens()
     pt = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=2.25, u_ref=10.0,
-                  weight_coeff=0.7, use_weighting=True)
+                  weight_coeff=0.7, use_weighting=weighting)
     spec = SearchSpec(grid_points=3)
     menu, obj, evals = _per_candidate_solve(spec, grid, ch, hmd, sens, pt)
     # the module's chunk, then a small prime, so that the maximum falls at
@@ -146,13 +215,14 @@ def test_solve_grid_equals_per_candidate_loop(rng, monkeypatch, shape):
 def test_solve_grid_breaks_ties_toward_first_candidate(rng, monkeypatch):
     # objectives rounded to one decimal tie across many candidates and
     # chunks; pt_expected looks pt_objective up in econ, so the per-candidate
-    # loop scores with the same rounding
+    # loop scores with the same rounding as the solver's one scoring sum,
+    # which also forms the b-grid bounds
     grid = make_grid(rng, 2, 3)
     args = (grid, simple_channel(), simple_hmd(), simple_sens(), _pt())
     spec = SearchSpec(grid_points=3)
-    real = econ.pt_objective
+    real, real_score = econ.pt_objective, solver._score
     monkeypatch.setattr(econ, "pt_objective", lambda *a: np.round(real(*a), 1))
-    monkeypatch.setattr(solver, "pt_objective", econ.pt_objective)
+    monkeypatch.setattr(solver, "_score", lambda *a: np.round(real_score(*a), 1))
     monkeypatch.setattr(solver, "CHUNK", 13)
     menu, obj, _ = _per_candidate_solve(spec, *args)
     result = solve_grid(spec, *args)
@@ -178,17 +248,17 @@ def test_solve_grid_never_picks_nan_objective(rng, monkeypatch):
     args = (grid, simple_channel(), simple_hmd(), simple_sens(), _pt())
     spec = SearchSpec(grid_points=3)
     _, best, _ = _per_candidate_solve(spec, *args)
-    real = solver.pt_objective
+    real = solver._score
 
     def nan_at_best(*a):
         obj = real(*a)
         return np.where(obj == best, np.nan, obj)
 
-    monkeypatch.setattr(solver, "pt_objective", nan_at_best)
+    monkeypatch.setattr(solver, "_score", nan_at_best)
     result = solve_grid(spec, *args)
     assert np.isfinite(result.objective) and result.objective < best
 
-    monkeypatch.setattr(solver, "pt_objective", lambda *a: np.full(len(a[0]), np.nan))
+    monkeypatch.setattr(solver, "_score", lambda *a: np.full(len(a[0]), np.nan))
     with pytest.raises(FloatingPointError):
         solve_grid(spec, *args)
 
@@ -211,7 +281,8 @@ def test_b_grid_bound_covers_every_candidate_sharing_it(rng, shape, points):
             simple_sens(),
             pt,
         )
-        bound = solver._b_grid_bounds(b_levels, f_levels, b_idx, *args)
+        value = solver._value_table(b_levels, f_levels, *args[:4])
+        bound = solver._b_grid_bounds(value, b_levels, f_levels, b_idx, grid, pt)
         assert bound.shape == (len(b_idx),) and np.all(np.isfinite(bound))
         scored = 0
         for i, b in enumerate(b_levels[b_idx]):
@@ -288,9 +359,9 @@ def test_solve_grid_answer_holds_under_any_valid_bound(rng, monkeypatch):
     grid = make_grid(rng)
     args = (grid, simple_channel(), simple_hmd(), simple_sens(), _pt())
     spec = SearchSpec(grid_points=5)
-    real = econ.pt_objective
+    real, real_score = econ.pt_objective, solver._score
     monkeypatch.setattr(econ, "pt_objective", lambda *a: np.floor(real(*a) / 5.0) * 5.0)
-    monkeypatch.setattr(solver, "pt_objective", econ.pt_objective)
+    monkeypatch.setattr(solver, "_score", lambda *a: np.floor(real_score(*a) / 5.0) * 5.0)
     menu, obj, _ = _per_candidate_solve(spec, *args)
     b_cands = monotone_grids(np.linspace(0.0, 10.0, 5), 2, 2)
     f_cands = monotone_grids(np.linspace(0.0, 3.0, 5), 2, 2)
@@ -408,7 +479,7 @@ def test_refine_runs_the_sweep_whose_step_lands_on_min_step(rng, monkeypatch):
     assert np.ldexp(8.0 / 15625, -6) == 1e-6 * 8.0
     start = solve_grid(replace(spec, grid_points=3), *args)
     monkeypatch.setattr(econ, "pt_objective", lambda b, *a: np.zeros(np.shape(b)[:-2]))
-    monkeypatch.setattr(solver, "pt_objective", econ.pt_objective)
+    monkeypatch.setattr(solver, "_score", lambda v, w: np.zeros(np.shape(v)[:-2]))
     start = replace(start, objective=0.0)
     _, _, evals, moves = _per_probe_refine(start, spec, *args)
     result = refine_local(start, spec, *args)
