@@ -28,6 +28,7 @@ __all__ = [
     "prob_weight",
     "pt_value",
     "pt_weights",
+    "pt_score",
     "pt_objective",
     "pt_expected",
     "dbm_to_watts",
@@ -299,14 +300,11 @@ def pt_value(u, pt: PTParams):
 
     A NaN utility has a NaN value."""
     u = _as_array(u)
-    # NaN fails u < u_ref, so it takes the gain branch and stays NaN
-    gain = np.where(u < pt.u_ref, 0.0, u - pt.u_ref)
-    loss = np.where(u < pt.u_ref, pt.u_ref - u, 0.0)
-    out = np.where(
-        u < pt.u_ref,
-        -pt.kappa * loss**pt.delta_minus,
-        gain**pt.delta_plus,
-    )
+    # |u - u_ref| is exactly the gain above u_ref and u_ref - u below it; a
+    # NaN fails d < 0, so it takes the gain branch and stays NaN
+    d = u - pt.u_ref
+    dist = np.abs(d)
+    out = np.where(d < 0, -pt.kappa * dist**pt.delta_minus, dist**pt.delta_plus)
     if out.ndim == 0:
         return float(out)
     return out
@@ -324,14 +322,19 @@ def pt_weights(grid: TypeGrid, pt: PTParams) -> np.ndarray:
     return w
 
 
+def pt_score(u, grid: TypeGrid, pt: PTParams) -> np.ndarray:
+    """Prospect-theory expected utility of buyer utilities stacked as
+    (..., M, N): the :func:`pt_weights`-weighted sum of :func:`pt_value`,
+    one value per leading index."""
+    return np.sum(pt_weights(grid, pt) * pt_value(u, pt), axis=(-2, -1))
+
+
 def pt_objective(b, f, r, grid, ch, hmd, sens, pt: PTParams) -> np.ndarray:
     """Prospect-theory expected buyer utility of menus stacked as (..., M, N)
     arrays of ``b``, ``f`` and ``r``; one value per leading index: the
-    :func:`pt_weights`-weighted sum of :func:`pt_value` of
-    :func:`buyer_value` minus R.
+    :func:`pt_score` of :func:`buyer_value` minus R.
     """
-    u = buyer_value(b, f, ch, hmd, sens) - r
-    return np.sum(pt_weights(grid, pt) * pt_value(u, pt), axis=(-2, -1))
+    return pt_score(buyer_value(b, f, ch, hmd, sens) - r, grid, pt)
 
 
 def pt_expected(menu, grid, ch, hmd, sens, pt: PTParams) -> float:

@@ -288,7 +288,7 @@ def minimal_rewards(b, f, grid: TypeGrid) -> tuple[np.ndarray, np.ndarray]:
     w = (b2[:, None] - b2) * inv_t[:, None] + (f2[:, None] - f2) * inv_s[:, None]
     r = b2 * inv_t + f2 * inv_s  # IR lower bounds, (MN, C)
     for _ in range(mn + 2):
-        bound = np.maximum.reduce(r + w, axis=1)
+        bound = np.max(r + w, axis=1)
         up = bound > r + SLACK_TOL * 1e-3
         if not up.any():
             break

@@ -10,23 +10,21 @@ Both searches are exact: each returns, bit for bit, what completing and
 scoring every candidate (every probe) one at a time returns, but completes
 only the ones that can change the answer.  Both complete and score through
 one batched route, :func:`feasibility.minimal_rewards` then, on the
-feasible rows, the weighted sum of ``pt_value(value - r)``, where ``value``
-is the buyer's R-free value ``alpha*immersion - beta*latency``
+feasible rows, :func:`econ.pt_score` of ``value - r``, where ``value`` is
+the buyer's R-free value ``alpha*immersion - beta*latency``
 (:func:`econ.buyer_value`).  A grid candidate's b and f take only
 ``grid_points`` levels per cell, so :func:`solve_grid` evaluates
 ``buyer_value`` once per scenario on the (b level, f level, M, N) table and
 reads every candidate's values, and every bound, from it; the pattern
 search's probes are off the levels and get theirs from ``buyer_value``.
-The level-index grids of a (``grid_points``, M, N) are enumerated once per
-process and shared read-only.
 
 * :func:`solve_grid` is a best-first branch and bound (Land & Doig 1960)
   over b-grids.  Minimal rewards never fall below the IR bounds
   ``b^2/theta + f^2/sigma``, ``pt_value`` is nondecreasing and the weights
   are nonnegative, so scoring a b-grid at the IR rewards with, cell by cell,
   its best f level bounds every candidate that shares the b-grid; the
-  table's ``pt_value`` at the IR rewards, maximised over f levels, gives
-  every b-grid's bound in one gather and one weighted sum.  b-grids
+  table's utilities at the IR rewards, maximised over f levels, give every
+  b-grid's bound in one gather and one :func:`econ.pt_score`.  b-grids
   are visited in descending bound order until a bound falls strictly below
   the incumbent; ties go to the lower b-major, f-minor index.  The first
   pass completes the best-bound b-grid alone, so that every later pass, of
@@ -40,7 +38,6 @@ process and shared read-only.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -55,8 +52,7 @@ from .econ import (
     SensitivityParams,
     TypeGrid,
     buyer_value,
-    pt_value,
-    pt_weights,
+    pt_score,
 )
 from .feasibility import minimal_rewards, monotone_descents
 
@@ -120,22 +116,25 @@ class SolveResult:
 
 
 def monotone_grids(levels: np.ndarray, m: int, n: int) -> np.ndarray:
-    """All (m, n) matrices with entries from ``levels`` that are
-    nondecreasing along both axes, as a (K, m, n) array in lexicographic
-    row-major order of the level indices."""
-    levels = np.asarray(levels, dtype=float)
-    grids = np.empty((1, 0))  # every prefix of the row-major cells filled so far
-    for idx in range(m * n):
-        i, j = divmod(idx, n)
-        lo = np.full(len(grids), -np.inf)
-        if i > 0:
-            lo = np.maximum(lo, grids[:, idx - n])
-        if j > 0:
-            lo = np.maximum(lo, grids[:, idx - 1])
-        # nonzero runs prefix-major, level-minor, which keeps the order
-        prefix, level = np.nonzero(levels >= lo[:, None])
-        grids = np.column_stack([grids[prefix], levels[level]])
-    return grids.reshape(-1, m, n)
+    """All (m, n) matrices with entries from the increasing ``levels`` that
+    are nondecreasing along both axes, as a (K, m, n) array in lexicographic
+    row-major order of the level indices.
+
+    Each grid is a chain of m nondecreasing rows, each row at or above the
+    one before it entry by entry, so the enumeration takes m - 1 array
+    passes over the rows rather than one per cell.
+    """
+    levels = np.asarray(levels)
+    # the nondecreasing rows of level indices, in lexicographic order
+    rows = np.array(list(itertools.combinations_with_replacement(range(len(levels)), n)))
+    chains = np.arange(len(rows))[:, None]  # row indices of every grid's rows so far
+    if m > 1:
+        below = np.all(rows[:, None] <= rows, axis=-1)  # below[a, c]: row c may follow row a
+        for _ in range(m - 1):
+            # nonzero runs chain-major, row-minor, which keeps the order
+            chain, row = np.nonzero(below[chains[:, -1]])
+            chains = np.column_stack([chains[chain], row])
+    return levels[rows[chains]]
 
 
 def monotone_grid_count(points: int, m: int, n: int) -> int:
@@ -147,10 +146,8 @@ def monotone_grid_count(points: int, m: int, n: int) -> int:
     return math.prod(i + j + points - 2 for i, j in cells) // math.prod(i + j - 1 for i, j in cells)
 
 
-@functools.lru_cache(maxsize=4)
 def _level_grids(points: int, m: int, n: int) -> np.ndarray:
-    """The (K, m, n) monotone grids of level indices ``0 .. points - 1``, as
-    one read-only array shared by every call with the same arguments.
+    """The (K, m, n) monotone grids of level indices ``0 .. points - 1``.
 
     Raises ``ValueError``, before enumerating, when there are more than
     :data:`MAX_GRIDS` of them.
@@ -158,42 +155,27 @@ def _level_grids(points: int, m: int, n: int) -> np.ndarray:
     if monotone_grid_count(points, m, n) > MAX_GRIDS:
         raise ValueError(f"grid_points = {points} gives more than {MAX_GRIDS} "
                          f"monotone grids on a {m} x {n} lattice")
-    idx = monotone_grids(np.arange(points), m, n).astype(int)
-    idx.setflags(write=False)
-    return idx
+    return monotone_grids(np.arange(points), m, n)
 
 
 def _value_table(b_levels, f_levels, grid, ch, hmd, sens):
     """(b level, f level, M, N) table of :func:`econ.buyer_value`: every
     value a grid candidate's cell can take."""
-    shape = (len(b_levels), len(f_levels), grid.m, grid.n)
-    b = np.broadcast_to(b_levels[:, None, None, None], shape).copy()
-    f = np.broadcast_to(f_levels[None, :, None, None], shape).copy()
-    return buyer_value(b, f, ch, hmd, sens)
+    value = buyer_value(b_levels[:, None, None, None], f_levels[:, None, None], ch, hmd, sens)
+    return np.broadcast_to(value, (len(b_levels), len(f_levels), grid.m, grid.n))
 
 
-def _score(v, w):
-    """PT objectives of a (C, M, N) stack of per-cell PT values under (M, N)
-    weights; every candidate score, probe score and b-grid bound is this sum."""
-    return np.sum(w * v, axis=(-2, -1))
+def _complete_and_score(b, f, value, grid, pt):
+    """Minimal rewards and PT objectives of a (C, M, N) batch of (b, f) grids
+    whose buyer values (:func:`econ.buyer_value`) are ``value``.
 
-
-def _complete_and_score(b, f, grid, ch, hmd, sens, pt, value=None):
-    """Minimal rewards and PT objectives of a (C, M, N) batch of (b, f) grids.
-
-    ``value`` holds the rows' buyer values (:func:`econ.buyer_value`) when
-    the caller has them; without it they are evaluated on the feasible rows.
     Returns ``(r, feasible, obj)``.  Only feasible rows are scored; an
     infeasible row (positive IC cycle, not implementable) or a NaN objective
     scores -inf, so it never wins a comparison.
     """
     r, feasible = minimal_rewards(b, f, grid)
-    if value is None:
-        value = buyer_value(b[feasible], f[feasible], ch, hmd, sens)
-    else:
-        value = value[feasible]
     obj = np.full(len(b), -np.inf)
-    obj[feasible] = _score(pt_value(value - r[feasible], pt), pt_weights(grid, pt))
+    obj[feasible] = pt_score(value[feasible] - r[feasible], grid, pt)
     obj[np.isnan(obj)] = -np.inf  # np.argmax would pick a NaN
     return r, feasible, obj
 
@@ -203,8 +185,8 @@ def _b_grid_bounds(value, b_levels, f_levels, b_idx, grid, pt):
     ``b_levels[b_idx[k]]``, one per k; a NaN bound never prunes.
 
     ``value`` is the :func:`_value_table` of the levels.  Each b-grid is
-    scored at the IR rewards with, cell by cell, the f level that scores
-    best there.  The IR rewards use the expression
+    scored at the IR rewards with, cell by cell, the f level whose utility
+    is largest there.  The IR rewards use the expression
     :func:`feasibility.minimal_rewards` starts from, and that function only
     raises them, so the bound holds in floating point too.
     """
@@ -212,9 +194,9 @@ def _b_grid_bounds(value, b_levels, f_levels, b_idx, grid, pt):
     inv_s = (1.0 / grid.sigma)[None, :]
     ir = (np.square(b_levels)[:, None, None, None] * inv_t
           + np.square(f_levels)[None, :, None, None] * inv_s)
-    best = pt_value(value - ir, pt).max(axis=1)  # (b level, M, N)
+    best = (value - ir).max(axis=1)  # (b level, M, N)
     cells = np.arange(grid.m)[:, None], np.arange(grid.n)
-    return _score(best[(b_idx, *cells)], pt_weights(grid, pt))
+    return pt_score(best[(b_idx, *cells)], grid, pt)
 
 
 def solve_grid(
@@ -267,7 +249,7 @@ def solve_grid(
         k = visit[j // n_f] * n_f + j % n_f
         kb, kf = idx[k // n_f], idx[k % n_f]
         r, _, obj = _complete_and_score(
-            b_levels[kb], f_levels[kf], grid, ch, hmd, sens, pt, value[(kb, kf, *cells)]
+            b_levels[kb], f_levels[kf], value[(kb, kf, *cells)], grid, pt
         )
         top = obj.max()
         i = int(np.argmin(np.where(obj == top, k, total)))  # lowest index among the best
@@ -348,9 +330,8 @@ def refine_local(
             | monotone_descents(trials).any(axis=(1, 2, 3, 4))
         )
         trials, which, move = trials[keep], which[keep], move[keep]
-        r, feasible, obj = _complete_and_score(
-            trials[:, 0], trials[:, 1], grid, ch, hmd, sens, pt
-        )
+        value = buyer_value(trials[:, 0], trials[:, 1], ch, hmd, sens)
+        r, feasible, obj = _complete_and_score(trials[:, 0], trials[:, 1], value, grid, pt)
         better = np.flatnonzero(obj > best_obj)
         if not len(better):
             evals += int(np.count_nonzero(feasible))

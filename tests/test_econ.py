@@ -21,6 +21,7 @@ from edgecontract.econ import (
     prob_weight,
     pt_expected,
     pt_objective,
+    pt_score,
     pt_value,
     pt_weights,
     utility_matrix,
@@ -307,7 +308,7 @@ def test_pt_expected_with_weighting_uses_transformed_mass(rng):
     assert pt_expected(menu, grid, ch, hmd, sens, pt) == pytest.approx(expect, rel=1e-12)
 
 
-def test_pt_objective_composes_buyer_value_and_pt_weights(rng):
+def test_pt_objective_is_pt_score_of_buyer_value(rng):
     grid = make_grid(rng)
     q = np.array([[0.0, 0.3], [0.3, 0.4]])
     zero_cell = TypeGrid(theta=grid.theta, sigma=grid.sigma, q=q)
@@ -321,7 +322,9 @@ def test_pt_objective_composes_buyer_value_and_pt_weights(rng):
         w = pt_weights(zero_cell, pt)
         assert w[0, 0] == 0.0
         assert np.array_equal(w[q > 0], prob_weight(q[q > 0], 0.6) if weighting else q[q > 0])
-        expect = np.sum(w * pt_value(buyer_value(b, f, ch, hmd, sens) - r, pt), axis=(-2, -1))
+        u = buyer_value(b, f, ch, hmd, sens) - r
+        expect = np.sum(w * pt_value(u, pt), axis=(-2, -1))
+        assert np.array_equal(pt_score(u, zero_cell, pt), expect)
         assert np.array_equal(pt_objective(b, f, r, zero_cell, ch, hmd, sens, pt), expect)
     menu = ContractMenu(b=b[0], f=f[0], r=r[0])
     assert np.array_equal(utility_matrix(menu, grid, ch, hmd, sens),

@@ -1,10 +1,6 @@
 """Exact (bounded) monotone grid search and local refinement."""
 
 import itertools
-import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +31,15 @@ from conftest import make_grid, simple_channel, simple_hmd, simple_sens
 
 def _pt():
     return PTParams(delta_plus=0.88, delta_minus=0.88, kappa=0.5, u_ref=10.0)
+
+
+def _patch_pt_score(monkeypatch, wrap):
+    """Replace econ.pt_score by ``wrap(pt_score)`` where pt_objective (so
+    pt_expected) and the solver both look it up: every candidate score,
+    probe score and b-grid bound then goes through the wrapper."""
+    patched = wrap(econ.pt_score)
+    monkeypatch.setattr(econ, "pt_score", patched)
+    monkeypatch.setattr(solver, "pt_score", patched)
 
 
 def test_search_spec_validation():
@@ -76,6 +81,20 @@ def test_monotone_grids_match_brute_force_enumeration(shape, count):
         assert monotone_grid_count(points, *shape) == len(idx)
 
 
+@pytest.mark.parametrize("shape,points", [((1, 4), 5), ((3, 1), 5), ((2, 2), 5), ((3, 3), 4)],
+                         ids=["1x4", "3x1", "2x2", "3x3"])
+def test_monotone_grids_match_brute_force_on_more_lattices(shape, points):
+    # single-row and single-column lattices, and more levels than the
+    # three-level test above
+    every = np.array(list(itertools.product(range(points), repeat=shape[0] * shape[1])))
+    every = every.reshape(-1, *shape)
+    keep = ~fz.monotone_descents(every).any(axis=(-3, -2, -1))
+    levels = np.linspace(0.0, 3.0, points)
+    assert np.array_equal(monotone_grids(np.arange(points), *shape), every[keep])
+    assert np.array_equal(monotone_grids(levels, *shape), levels[every[keep]])
+    assert monotone_grid_count(points, *shape) == np.count_nonzero(keep)
+
+
 def test_monotone_grid_count_admits_the_largest_benchmarked_lattices():
     assert monotone_grid_count(9, 3, 3) == 259_545
     assert monotone_grid_count(5, 4, 4) == 232_848
@@ -92,53 +111,6 @@ def test_solve_grid_refuses_too_many_grids_before_enumerating(rng, monkeypatch):
     args = (make_grid(rng), simple_channel(), simple_hmd(), simple_sens(), _pt())
     with pytest.raises(ValueError, match="grid_points = 1000"):
         solve_grid(SearchSpec(grid_points=1000), *args)
-
-
-def test_level_grids_are_cached_read_only():
-    idx = solver._level_grids(3, 2, 3)
-    assert solver._level_grids(3, 2, 3) is idx
-    assert not idx.flags.writeable
-    with pytest.raises(ValueError):
-        idx[0, 0, 0] = 1
-    assert np.array_equal(idx, monotone_grids(np.arange(3), 2, 3).astype(int))
-
-
-# (grid_points, M, N) keys: one more than the level-grid cache holds, so the
-# interleaved order below evicts and refills it
-_CACHE_KEYS = [(3, 2, 2), (5, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2)]
-
-
-def _solve_digests(order):
-    """Objective, evaluation count and menu of one solve per key in
-    ``order``, on a scenario drawn from the key, as comparable strings; a key
-    solved again must give the same string."""
-    out = {}
-    for points, m, n in order:
-        rng = np.random.default_rng((31, points, m, n))
-        shape = (m, n)
-        args = (
-            make_grid(rng, m, n),
-            simple_channel(d=rng.uniform(10.0, 80.0, shape)),
-            simple_hmd(s_eff=rng.uniform(1.5, 3.0, shape), mu=rng.uniform(0.2, 1.0, shape)),
-            simple_sens(),
-            _pt(),
-        )
-        res = solve_grid(SearchSpec(grid_points=points), *args)
-        menu = np.stack([res.menu.b, res.menu.f, res.menu.r])
-        digest = f"{res.objective.hex()} {res.evaluations} {menu.tobytes().hex()}"
-        assert out.setdefault(f"{points},{m},{n}", digest) == digest
-    return out
-
-
-def test_interleaved_solves_match_a_fresh_process():
-    here = _solve_digests(_CACHE_KEYS * 2 + _CACHE_KEYS[::-1])
-    code = ("import json, test_solver as t; "
-            "print(json.dumps(t._solve_digests(t._CACHE_KEYS)))")
-    src = os.path.dirname(os.path.dirname(solver.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert json.loads(proc.stdout.splitlines()[-1]) == here
 
 
 def test_solve_grid_matches_independent_enumeration(rng):
@@ -214,15 +186,12 @@ def test_solve_grid_equals_per_candidate_loop(rng, monkeypatch, shape, weighting
 
 def test_solve_grid_breaks_ties_toward_first_candidate(rng, monkeypatch):
     # objectives rounded to one decimal tie across many candidates and
-    # chunks; pt_expected looks pt_objective up in econ, so the per-candidate
-    # loop scores with the same rounding as the solver's one scoring sum,
-    # which also forms the b-grid bounds
+    # chunks; the per-candidate loop scores with the same rounding as the
+    # solver, whose candidate scores and b-grid bounds are all pt_score
     grid = make_grid(rng, 2, 3)
     args = (grid, simple_channel(), simple_hmd(), simple_sens(), _pt())
     spec = SearchSpec(grid_points=3)
-    real, real_score = econ.pt_objective, solver._score
-    monkeypatch.setattr(econ, "pt_objective", lambda *a: np.round(real(*a), 1))
-    monkeypatch.setattr(solver, "_score", lambda *a: np.round(real_score(*a), 1))
+    _patch_pt_score(monkeypatch, lambda real: lambda *a: np.round(real(*a), 1))
     monkeypatch.setattr(solver, "CHUNK", 13)
     menu, obj, _ = _per_candidate_solve(spec, *args)
     result = solve_grid(spec, *args)
@@ -248,17 +217,17 @@ def test_solve_grid_never_picks_nan_objective(rng, monkeypatch):
     args = (grid, simple_channel(), simple_hmd(), simple_sens(), _pt())
     spec = SearchSpec(grid_points=3)
     _, best, _ = _per_candidate_solve(spec, *args)
-    real = solver._score
+    real = solver.pt_score
 
     def nan_at_best(*a):
         obj = real(*a)
         return np.where(obj == best, np.nan, obj)
 
-    monkeypatch.setattr(solver, "_score", nan_at_best)
+    monkeypatch.setattr(solver, "pt_score", nan_at_best)
     result = solve_grid(spec, *args)
     assert np.isfinite(result.objective) and result.objective < best
 
-    monkeypatch.setattr(solver, "_score", lambda *a: np.full(len(a[0]), np.nan))
+    monkeypatch.setattr(solver, "pt_score", lambda *a: np.full(len(a[0]), np.nan))
     with pytest.raises(FloatingPointError):
         solve_grid(spec, *args)
 
@@ -287,7 +256,8 @@ def test_b_grid_bound_covers_every_candidate_sharing_it(rng, shape, points):
         scored = 0
         for i, b in enumerate(b_levels[b_idx]):
             b_stack = np.broadcast_to(b, f_cands.shape)
-            _, feasible, obj = solver._complete_and_score(b_stack, f_cands, *args)
+            value = econ.buyer_value(b_stack, f_cands, *args[1:4])
+            _, feasible, obj = solver._complete_and_score(b_stack, f_cands, value, grid, pt)
             assert np.all(obj[feasible] <= bound[i]), i
             scored += np.count_nonzero(feasible)
         assert scored > 0
@@ -359,15 +329,16 @@ def test_solve_grid_answer_holds_under_any_valid_bound(rng, monkeypatch):
     grid = make_grid(rng)
     args = (grid, simple_channel(), simple_hmd(), simple_sens(), _pt())
     spec = SearchSpec(grid_points=5)
-    real, real_score = econ.pt_objective, solver._score
-    monkeypatch.setattr(econ, "pt_objective", lambda *a: np.floor(real(*a) / 5.0) * 5.0)
-    monkeypatch.setattr(solver, "_score", lambda *a: np.floor(real_score(*a) / 5.0) * 5.0)
+    _patch_pt_score(monkeypatch, lambda real: lambda *a: np.floor(real(*a) / 5.0) * 5.0)
     menu, obj, _ = _per_candidate_solve(spec, *args)
     b_cands = monotone_grids(np.linspace(0.0, 10.0, 5), 2, 2)
     f_cands = monotone_grids(np.linspace(0.0, 3.0, 5), 2, 2)
+    b_stacks = [np.broadcast_to(b, f_cands.shape) for b in b_cands]
     tightest = np.array([
-        solver._complete_and_score(np.broadcast_to(b, f_cands.shape), f_cands, *args)[2].max()
-        for b in b_cands
+        solver._complete_and_score(
+            b, f_cands, econ.buyer_value(b, f_cands, *args[1:4]), grid, args[4]
+        )[2].max()
+        for b in b_stacks
     ])
     assert np.count_nonzero(tightest == obj) > 1
     for draw in range(20):
@@ -478,8 +449,7 @@ def test_refine_runs_the_sweep_whose_step_lands_on_min_step(rng, monkeypatch):
     spec = SearchSpec(b_range=(0.0, 8.0), grid_points=15626)
     assert np.ldexp(8.0 / 15625, -6) == 1e-6 * 8.0
     start = solve_grid(replace(spec, grid_points=3), *args)
-    monkeypatch.setattr(econ, "pt_objective", lambda b, *a: np.zeros(np.shape(b)[:-2]))
-    monkeypatch.setattr(solver, "_score", lambda v, w: np.zeros(np.shape(v)[:-2]))
+    _patch_pt_score(monkeypatch, lambda real: lambda u, *a: np.zeros(np.shape(u)[:-2]))
     start = replace(start, objective=0.0)
     _, _, evals, moves = _per_probe_refine(start, spec, *args)
     result = refine_local(start, spec, *args)
