@@ -23,7 +23,9 @@ from .econ import (
     PTParams,
     SensitivityParams,
     TypeGrid,
+    buyer_value,
     pt_expected,
+    seller_cost,
 )
 from .feasibility import ic_slack
 from .nn import AdamState, Mlp, adam_step
@@ -47,6 +49,9 @@ __all__ = [
     "baseline_random",
     "baseline_greedy",
 ]
+
+# levels per resource axis the greedy baseline searches
+GREEDY_POINTS = 33
 
 
 @dataclass(frozen=True)
@@ -541,25 +546,22 @@ def baseline_random(sc: Scenario, bounds: ActionBounds, rng: np.random.Generator
     return menu, r
 
 
-def baseline_greedy(sc: Scenario, bounds: ActionBounds, points: int = 33) -> tuple[ContractMenu, float]:
+def baseline_greedy(sc: Scenario, bounds: ActionBounds) -> tuple[ContractMenu, float]:
     """Per-type independent maximization, IR-priced, IC ignored.
 
-    For each type pair picks (b, f) maximizing alpha*immersion - beta*latency
-    - R with R set to that type's participation bound; the first best level
+    For each type pair picks, among :data:`GREEDY_POINTS` levels per axis,
+    the (b, f) maximizing :func:`econ.buyer_value` - R with R set to that
+    type's participation bound :func:`econ.seller_cost`; the first best level
     pair in b-major order wins a tie.
     """
-    from .econ import immersion, latency
-
     g = sc.grid
-    b_levels = np.linspace(bounds.b_min, bounds.b_max, points)
-    f_levels = np.linspace(bounds.f_min, bounds.f_max, points)
+    b_levels = np.linspace(bounds.b_min, bounds.b_max, GREEDY_POINTS)
+    f_levels = np.linspace(bounds.f_min, bounds.f_max, GREEDY_POINTS)
     # every level pair on axis 0, b-major, against every type pair
     bb, ff = np.meshgrid(b_levels, f_levels, indexing="ij")
     bb, ff = bb.reshape(-1, 1, 1), ff.reshape(-1, 1, 1)
-    imm = immersion(bb, ff, sc.ch, sc.hmd)
-    lat = latency(bb, sc.ch)
-    r_ir = bb**2 / g.theta[:, None] + ff**2 / g.sigma
-    score = sc.sens.alpha_imm * imm - sc.sens.beta_lat * lat - r_ir
+    r_ir = seller_cost(bb, ff, g.theta[:, None], g.sigma)
+    score = buyer_value(bb, ff, sc.ch, sc.hmd, sc.sens) - r_ir
     k = np.argmax(score, axis=0)  # (M, N) level-pair index per type pair
     r = np.take_along_axis(r_ir, k[None], axis=0)[0]
     menu = ContractMenu(b=bb[k, 0, 0], f=ff[k, 0, 0], r=np.minimum(r, bounds.r_max))

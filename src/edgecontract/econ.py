@@ -23,7 +23,7 @@ __all__ = [
     "immersion",
     "latency",
     "buyer_value",
-    "utility_matrix",
+    "seller_cost",
     "eut_expected",
     "prob_weight",
     "pt_value",
@@ -267,21 +267,17 @@ def buyer_value(b, f, ch: ChannelParams, hmd: HMDParams, sens: SensitivityParams
     return sens.alpha_imm * imm - sens.beta_lat * lat
 
 
-def utility_matrix(
-    menu: ContractMenu,
-    grid: TypeGrid,
-    ch: ChannelParams,
-    hmd: HMDParams,
-    sens: SensitivityParams,
-) -> np.ndarray:
-    """Per-type buyer utilities U_{m,n} as an (M, N) array."""
-    menu.check_dims(grid)
-    return buyer_value(menu.b, menu.f, ch, hmd, sens) - menu.r
+def seller_cost(b, f, theta, sigma) -> np.ndarray:
+    """A seller's cost of providing bandwidth b and GPU frequency f at type
+    (theta, sigma), b^2/theta + f^2/sigma, elementwise under broadcasting; a
+    seller utility is the reward R minus this."""
+    return np.square(b) / theta + np.square(f) / sigma
 
 
 def eut_expected(menu, grid, ch, hmd, sens) -> float:
-    """Expected buyer utility sum Q_{m,n} * U_{m,n}."""
-    return float(np.sum(grid.q * utility_matrix(menu, grid, ch, hmd, sens)))
+    """Expected buyer utility sum Q_{m,n} * (buyer value - R)_{m,n}."""
+    menu.check_dims(grid)
+    return float(np.sum(grid.q * (buyer_value(menu.b, menu.f, ch, hmd, sens) - menu.r)))
 
 
 def prob_weight(p, coeff: float):

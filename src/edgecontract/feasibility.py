@@ -1,7 +1,10 @@
 """IR/IC feasibility checking and minimal-reward recovery for contract menus.
 
-A menu is feasible when it is IR, IC and monotone.  Each constraint is
-decided in one place:
+A menu is feasible when it is IR, IC and monotone.  A seller's utility
+from an item is its reward minus :func:`econ.seller_cost`, the one copy of
+``b^2/theta + f^2/sigma``; the slack tensor, the IR start of the minimal
+rewards and the recurrence's rewards all price items through it.  Each
+constraint is decided in one place:
 
 * :func:`monotone_descents` is the one monotonicity definition: a resource
   grid is monotone when it is nondecreasing along both type axes, within
@@ -40,14 +43,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .econ import ContractMenu, TypeGrid
+from .econ import ContractMenu, TypeGrid, seller_cost
 
 __all__ = [
     "SLACK_TOL",
     "FeasibilityReport",
     "InfeasibleMenuError",
     "NonMonotoneError",
-    "own_utilities",
     "ic_slack",
     "monotone_descents",
     "check_monotone",
@@ -99,21 +101,8 @@ class FeasibilityReport:
 def cross_utility_tensor(menu: ContractMenu, grid: TypeGrid) -> np.ndarray:
     """All V_{m,n}^{p,q} as a (M, N, M, N) tensor indexed [m, n, p, q]."""
     menu.check_dims(grid)
-    cost = (
-        menu.b[None, None, :, :] ** 2 / grid.theta[:, None, None, None]
-        + menu.f[None, None, :, :] ** 2 / grid.sigma[None, :, None, None]
-    )
-    return menu.r[None, None, :, :] - cost
-
-
-def own_utilities(menu: ContractMenu, grid: TypeGrid) -> np.ndarray:
-    """Each type's utility from its own item, as an (M, N) array."""
-    menu.check_dims(grid)
-    return (
-        menu.r
-        - menu.b**2 / grid.theta[:, None]
-        - menu.f**2 / grid.sigma[None, :]
-    )
+    return menu.r - seller_cost(menu.b, menu.f, grid.theta[:, None, None, None],
+                                grid.sigma[:, None, None])
 
 
 def ic_slack(menu: ContractMenu, grid: TypeGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -249,11 +238,11 @@ def recurrence_utilities(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
 
 
 def optimal_rewards(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
-    """Minimal feasible rewards R* = V* + b^2/theta + f^2/sigma."""
+    """Minimal feasible rewards R* = V* + :func:`econ.seller_cost`."""
     b_grid = np.asarray(b_grid, dtype=float)
     f_grid = np.asarray(f_grid, dtype=float)
     v = recurrence_utilities(b_grid, f_grid, grid)
-    return v + b_grid**2 / grid.theta[:, None] + f_grid**2 / grid.sigma[None, :]
+    return v + seller_cost(b_grid, f_grid, grid.theta[:, None], grid.sigma)
 
 
 def minimal_rewards(b, f, grid: TypeGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -279,14 +268,14 @@ def minimal_rewards(b, f, grid: TypeGrid) -> tuple[np.ndarray, np.ndarray]:
 
     c, mn = b.shape[0], grid.m * grid.n
     # cells lead and candidates trail, so every array pass runs over C
-    b2 = np.square(b.reshape(c, mn).T, order="C")
-    f2 = np.square(f.reshape(c, mn).T, order="C")
-    inv_t = np.repeat(1.0 / grid.theta, grid.n)[:, None]  # per cell, row-major
-    inv_s = np.tile(1.0 / grid.sigma, grid.m)[:, None]
+    b, f = b.reshape(c, mn).T, f.reshape(c, mn).T
+    b2, f2 = np.square(b, order="C"), np.square(f, order="C")
+    theta = np.repeat(grid.theta, grid.n)[:, None]  # per cell, row-major
+    sigma = np.tile(grid.sigma, grid.m)[:, None]
 
     # w[i, j, c]: least excess of R_i over R_j; the diagonal is exactly 0
-    w = (b2[:, None] - b2) * inv_t[:, None] + (f2[:, None] - f2) * inv_s[:, None]
-    r = b2 * inv_t + f2 * inv_s  # IR lower bounds, (MN, C)
+    w = (b2[:, None] - b2) * (1.0 / theta)[:, None] + (f2[:, None] - f2) * (1.0 / sigma)[:, None]
+    r = seller_cost(b, f, theta, sigma)  # IR lower bounds, (MN, C)
     for _ in range(mn + 2):
         bound = np.max(r + w, axis=1)
         up = bound > r + SLACK_TOL * 1e-3

@@ -22,7 +22,7 @@ from .diffusion import (
     generate,
     train,
 )
-from .econ import ContractMenu
+from .econ import ContractMenu, pt_expected
 from .scenario import MAX_REDRAWS, ExperimentConfig, config_hash, sample_scenario
 
 __all__ = [
@@ -142,7 +142,12 @@ def run_training(cfg: ExperimentConfig) -> tuple[RunRecord, GdmAgent, Scenario]:
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
-    """Run the diffusion-policy training loop; emits log, menu, and baselines."""
+    """Run the diffusion-policy training loop; emits log, menu, and baselines.
+
+    The emitted menu is re-checked on the final scenario and the summary
+    reports the verdict, its violation counts and the menu's PT expected
+    utility; an infeasible menu does not change the exit code.
+    """
     out = Path(out_dir or cfg.out_dir)
     record, agent, sc = run_training(cfg)
 
@@ -151,21 +156,29 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
         LOG_COLUMNS,
         [[row[h] for h in LOG_COLUMNS] for row in record.metrics],
     )
-    if record.menu is not None:
-        _write_csv(out / "train_menu.csv", ["m", "n", "b", "f", "r"], _menu_rows(record.menu))
+    # episodes >= 1 at load, so training always ends on a scenario and a menu
+    _write_csv(out / "train_menu.csv", ["m", "n", "b", "f", "r"], _menu_rows(record.menu))
 
     rng = np.random.default_rng((cfg.seed, _BASELINE_TAG))
     _, r_rand = baseline_random(sc, cfg.bounds(), rng)
     _, r_greedy = baseline_greedy(sc, cfg.bounds())
+    report = feasibility.check_full(record.menu, sc.grid)
+    u_pt = pt_expected(record.menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
+    counts = [len(v) for v in (report.ir_violations, report.ic_violations,
+                               report.monotonicity_violations)]
     _write_csv(
         out / "train_summary.csv",
-        ["config_hash", "seed", "final_mean_reward", "random_reward", "greedy_reward"],
-        [[record.config_hash, cfg.seed, record.final_mean_reward(), r_rand, r_greedy]],
+        ["config_hash", "seed", "final_mean_reward", "random_reward", "greedy_reward",
+         "menu_feasible", "ir_violations", "ic_violations", "monotone_violations", "u_pt"],
+        [[record.config_hash, cfg.seed, record.final_mean_reward(), r_rand, r_greedy,
+          report.feasible, *counts, u_pt]],
     )
     print(
         f"train: final_mean_reward={record.final_mean_reward():.4f} "
         f"greedy={r_greedy:.4f} random={r_rand:.4f} ({record.wall_clock:.2f}s)"
     )
+    print("train: menu {}: {} IR, {} IC, {} monotonicity violations, u_pt={:.4f}".format(
+        "feasible" if report.feasible else "infeasible", *counts, u_pt))
     return 0
 
 

@@ -20,7 +20,7 @@ search's probes are off the levels and get theirs from ``buyer_value``.
 
 * :func:`solve_grid` is a best-first branch and bound (Land & Doig 1960)
   over b-grids.  Minimal rewards never fall below the IR bounds
-  ``b^2/theta + f^2/sigma``, ``pt_value`` is nondecreasing and the weights
+  :func:`econ.seller_cost`, ``pt_value`` is nondecreasing and the weights
   are nonnegative, so scoring a b-grid at the IR rewards with, cell by cell,
   its best f level bounds every candidate that shares the b-grid; the
   table's utilities at the IR rewards, maximised over f levels, give every
@@ -53,6 +53,7 @@ from .econ import (
     TypeGrid,
     buyer_value,
     pt_score,
+    seller_cost,
 )
 from .feasibility import minimal_rewards, monotone_descents
 
@@ -186,14 +187,12 @@ def _b_grid_bounds(value, b_levels, f_levels, b_idx, grid, pt):
 
     ``value`` is the :func:`_value_table` of the levels.  Each b-grid is
     scored at the IR rewards with, cell by cell, the f level whose utility
-    is largest there.  The IR rewards use the expression
+    is largest there.  The IR rewards are the :func:`econ.seller_cost` call
     :func:`feasibility.minimal_rewards` starts from, and that function only
     raises them, so the bound holds in floating point too.
     """
-    inv_t = (1.0 / grid.theta)[:, None]
-    inv_s = (1.0 / grid.sigma)[None, :]
-    ir = (np.square(b_levels)[:, None, None, None] * inv_t
-          + np.square(f_levels)[None, :, None, None] * inv_s)
+    ir = seller_cost(b_levels[:, None, None, None], f_levels[:, None, None],
+                     grid.theta[:, None], grid.sigma)
     best = (value - ir).max(axis=1)  # (b level, M, N)
     cells = np.arange(grid.m)[:, None], np.arange(grid.n)
     return pt_score(best[(b_idx, *cells)], grid, pt)

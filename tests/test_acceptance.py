@@ -115,7 +115,7 @@ def test_criterion_03_utility_orderings_on_oracle_outputs():
         grid = make_grid(rng)
         b, f, r = implementable_bf(rng, grid)
         menu = ContractMenu(b=b, f=f, r=r)
-        own = fz.own_utilities(menu, grid)
+        own = fz.ic_slack(menu, grid)[0]
         v = fz.cross_utility_tensor(menu, grid)
         tol = 1e-9
         # higher type earns weakly higher own utility along each axis

@@ -186,9 +186,6 @@ def test_reward_fn_matches_quadruple_loop(rng):
 def test_reward_fn_identical_items_have_zero_slack(rng):
     sc = _scenario(rng)
     menu = ContractMenu(b=np.full((2, 2), 4.0), f=np.full((2, 2), 1.0), r=np.full((2, 2), 10.0))
-    from edgecontract.econ import pt_expected
-    from edgecontract.feasibility import own_utilities
-
     base = df.reward_fn(menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt, penalty_weight=0.0)
     full = df.reward_fn(menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt, penalty_weight=5.0)
     assert full == pytest.approx(base, rel=1e-12)

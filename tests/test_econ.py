@@ -24,9 +24,9 @@ from edgecontract.econ import (
     pt_score,
     pt_value,
     pt_weights,
-    utility_matrix,
+    seller_cost,
 )
-from edgecontract.feasibility import own_utilities
+from edgecontract.feasibility import cross_utility_tensor, ic_slack
 
 from conftest import make_grid, neutral_pt, simple_channel, simple_hmd, simple_sens
 
@@ -95,7 +95,7 @@ def test_pt_params_validation():
 def test_rsu_utility_hand_computation():
     # 10 - 400/80 - 900/120 = -2.5
     menu, grid = _one_item(b=20.0, f=30.0, r=10.0, theta=80.0, sigma=120.0)
-    assert own_utilities(menu, grid)[0, 0] == pytest.approx(-2.5, abs=1e-12)
+    assert ic_slack(menu, grid)[0][0, 0] == pytest.approx(-2.5, abs=1e-12)
 
 
 @given(
@@ -108,7 +108,26 @@ def test_rsu_utility_hand_computation():
 def test_rsu_utility_matches_formula(b, f, r, theta, sigma):
     menu, grid = _one_item(b, f, r, theta, sigma)
     expect = r - b**2 / theta - f**2 / sigma
-    assert own_utilities(menu, grid)[0, 0] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+    assert ic_slack(menu, grid)[0][0, 0] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+def test_seller_cost_is_the_float_formula_exactly(rng):
+    # per cell and in the (M, N, M, N) cross layout [m, n, p, q] that
+    # feasibility.cross_utility_tensor prices
+    grid = make_grid(rng, 2, 3)
+    b = rng.uniform(0.0, 10.0, (2, 3))
+    f = rng.uniform(0.0, 3.0, (2, 3))
+    own = seller_cost(b, f, grid.theta[:, None], grid.sigma)
+    cross = seller_cost(b, f, grid.theta[:, None, None, None], grid.sigma[:, None, None])
+    assert own.shape == (2, 3) and cross.shape == (2, 3, 2, 3)
+    for m, n, p, q in np.ndindex(2, 3, 2, 3):
+        bp, fp = float(b[p, q]), float(f[p, q])
+        expect = bp**2 / float(grid.theta[m]) + fp**2 / float(grid.sigma[n])
+        assert cross[m, n, p, q] == expect
+        if (m, n) == (p, q):
+            assert own[m, n] == expect
+    menu = ContractMenu(b=b, f=f, r=np.zeros((2, 3)))
+    assert np.array_equal(cross_utility_tensor(menu, grid), -cross)
 
 
 # -- channel and rendering --------------------------------------------------
@@ -169,12 +188,12 @@ def test_latency_linear_in_bandwidth_and_distance():
 def test_av_utility_strictly_decreasing_in_reward(r1, r2):
     ch, hmd, sens = simple_channel(), simple_hmd(), simple_sens()
     lo, hi = sorted((r1, r2))
-    u_lo = utility_matrix(*_one_item(b=2.0, f=1.0, r=lo), ch, hmd, sens)[0, 0]
-    u_hi = utility_matrix(*_one_item(b=2.0, f=1.0, r=hi), ch, hmd, sens)[0, 0]
+    value = buyer_value(2.0, 1.0, ch, hmd, sens)
+    u_lo, u_hi = value - lo, value - hi
     assert u_lo - u_hi == pytest.approx(hi - lo, rel=1e-9, abs=1e-9)
 
 
-def test_utility_matrix_matches_scalar_evaluations(rng):
+def test_buyer_utilities_match_scalar_evaluations(rng):
     grid = make_grid(rng)
     ch, hmd, sens = simple_channel(), simple_hmd(), simple_sens()
     menu = ContractMenu(
@@ -182,7 +201,7 @@ def test_utility_matrix_matches_scalar_evaluations(rng):
         f=rng.uniform(0.0, 3.0, (2, 2)),
         r=rng.uniform(0.0, 50.0, (2, 2)),
     )
-    u = utility_matrix(menu, grid, ch, hmd, sens)
+    u = buyer_value(menu.b, menu.f, ch, hmd, sens) - menu.r
     for m in range(2):
         for n in range(2):
             expect = av_type_utility(menu.b[m, n], menu.f[m, n], menu.r[m, n], ch, hmd, sens)
@@ -303,7 +322,7 @@ def test_pt_expected_with_weighting_uses_transformed_mass(rng):
     )
     pt = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=0.5, u_ref=10.0,
                   weight_coeff=0.6, use_weighting=True)
-    u = utility_matrix(menu, grid, ch, hmd, sens)
+    u = buyer_value(menu.b, menu.f, ch, hmd, sens) - menu.r
     expect = float(np.sum(prob_weight(grid.q, 0.6) * pt_value(u, pt)))
     assert pt_expected(menu, grid, ch, hmd, sens, pt) == pytest.approx(expect, rel=1e-12)
 
@@ -326,9 +345,6 @@ def test_pt_objective_is_pt_score_of_buyer_value(rng):
         expect = np.sum(w * pt_value(u, pt), axis=(-2, -1))
         assert np.array_equal(pt_score(u, zero_cell, pt), expect)
         assert np.array_equal(pt_objective(b, f, r, zero_cell, ch, hmd, sens, pt), expect)
-    menu = ContractMenu(b=b[0], f=f[0], r=r[0])
-    assert np.array_equal(utility_matrix(menu, grid, ch, hmd, sens),
-                          buyer_value(b[0], f[0], ch, hmd, sens) - r[0])
 
 
 # -- unit conversions -------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edgecontract import feasibility as fz
-from edgecontract.econ import ContractMenu, TypeGrid
+from edgecontract.econ import ContractMenu, TypeGrid, seller_cost
 
 from conftest import cross_utility, implementable_bf, make_grid, monotone_bf
 
@@ -239,6 +239,24 @@ def test_batched_oracle_matches_scalar_wrapper(rng):
                     with pytest.raises(fz.InfeasibleMenuError):
                         fz.minimal_reward_oracle(b[i], f[i], grid)
     assert verdicts == {True, False}
+
+
+def test_minimal_rewards_never_below_seller_cost(rng):
+    # bit for bit: the solver's bound prices the IR rewards with the same
+    # seller_cost call and relies on the relaxation only raising them
+    for shape in LATTICES:
+        binding = 0
+        for _ in range(5):
+            grid = make_grid(rng, *shape)
+            pairs = [monotone_bf(rng, *shape) for _ in range(60)]
+            b = np.array([bf[0] for bf in pairs])
+            f = np.array([bf[1] for bf in pairs])
+            r, feasible = fz.minimal_rewards(b, f, grid)
+            cost = seller_cost(b, f, grid.theta[:, None], grid.sigma)
+            assert feasible.any()
+            assert np.all(r[feasible] >= cost[feasible]), shape
+            binding += int(np.count_nonzero(r[feasible] == cost[feasible]))
+        assert binding > 0, shape
 
 
 # -- recurrence vs oracle ---------------------------------------------------

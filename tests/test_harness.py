@@ -7,7 +7,7 @@ import pytest
 
 from edgecontract import cli, harness
 from edgecontract import feasibility as fz
-from edgecontract.econ import ContractMenu
+from edgecontract.econ import ContractMenu, pt_expected
 from edgecontract.harness import RunRecord
 from edgecontract.scenario import (
     ExperimentConfig,
@@ -283,7 +283,17 @@ def test_cmd_train_writes_artifacts(tmp_path):
     assert len(log) == 1 + cfg.training.episodes * cfg.training.steps
     assert (tmp_path / "train_menu.csv").exists()
     summary = (tmp_path / "train_summary.csv").read_text().splitlines()
-    assert summary[0] == "config_hash,seed,final_mean_reward,random_reward,greedy_reward"
+    assert summary[0] == ("config_hash,seed,final_mean_reward,random_reward,greedy_reward,"
+                          "menu_feasible,ir_violations,ic_violations,monotone_violations,u_pt")
+    # the verdict is the re-check of the written menu on the final scenario,
+    # which without resampling is the first draw
+    sc = sample_scenario(cfg, np.random.default_rng((cfg.seed, 0)))
+    menu = harness._read_menu_csv(tmp_path / "train_menu.csv", 2, 2)
+    report = fz.check_full(menu, sc.grid)
+    row = summary[1].split(",")
+    assert row[5:9] == [str(report.feasible), str(len(report.ir_violations)),
+                        str(len(report.ic_violations)), str(len(report.monotonicity_violations))]
+    assert float(row[9]) == pt_expected(menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
 
 
 # -- CLI --------------------------------------------------------------------
