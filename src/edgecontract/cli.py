@@ -66,15 +66,14 @@ def main(argv: list[str] | None = None) -> int:
             return harness.cmd_train(cfg, out)
         if args.command == "verify":
             return harness.cmd_verify(cfg, out, menu_csv=args.menu)
-        if args.command == "sweep":
-            return harness.cmd_sweep(cfg, out, which=args.param)
+        # the parser admits no other command
+        return harness.cmd_sweep(cfg, out, which=args.param)
     except FloatingPointError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

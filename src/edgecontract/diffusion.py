@@ -96,16 +96,6 @@ class ActionBounds:
     r_min: float = 0.0
     r_max: float = 50.0
 
-    def lows(self, mn: int) -> np.ndarray:
-        return np.concatenate(
-            [np.full(mn, self.b_min), np.full(mn, self.f_min), np.full(mn, self.r_min)]
-        )
-
-    def highs(self, mn: int) -> np.ndarray:
-        return np.concatenate(
-            [np.full(mn, self.b_max), np.full(mn, self.f_max), np.full(mn, self.r_max)]
-        )
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -150,17 +140,13 @@ def action_dim(m: int, n: int) -> int:
 
 
 def map_action(u: np.ndarray, bounds: ActionBounds, m: int, n: int) -> ContractMenu:
-    """Affine map from [-1, 1]^{3MN} into the action box, reshaped to a menu."""
-    u = np.asarray(u, dtype=float)
-    mn = m * n
-    lo = bounds.lows(mn)
-    hi = bounds.highs(mn)
-    vals = lo + (u + 1.0) * 0.5 * (hi - lo)
-    return ContractMenu(
-        b=vals[:mn].reshape(m, n),
-        f=vals[mn : 2 * mn].reshape(m, n),
-        r=vals[2 * mn :].reshape(m, n),
-    )
+    """Affine map from [-1, 1]^{3MN} into the action box, reshaped to a menu:
+    the b, f and R blocks of ``u``, in that order, each onto its own range."""
+    u = np.asarray(u, dtype=float).reshape(3, m, n)
+    lo = np.array([bounds.b_min, bounds.f_min, bounds.r_min])[:, None, None]
+    hi = np.array([bounds.b_max, bounds.f_max, bounds.r_max])[:, None, None]
+    b, f, r = lo + (u + 1.0) * 0.5 * (hi - lo)
+    return ContractMenu(b=b, f=f, r=r)
 
 
 def forward_diffuse(x0: np.ndarray, k: int, schedule: NoiseSchedule, noise: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Core utility mathematics for the edge resource contract model.
 
 All functions here are pure and vectorize over numpy arrays, so they can be
-applied per contract item or to whole M x N menus at once.  Internal math is
+applied per contract item or to whole M x N menus at once.  The elementwise
+ones return numpy values, for scalar inputs too; the one-menu summaries
+``eut_expected`` and ``pt_expected`` return Python floats.  Internal math is
 linear-scale; dB/dBm inputs must be converted at construction time with
 :func:`dbm_to_watts` / :func:`db_to_linear`.
 """
@@ -212,18 +214,15 @@ class PTParams:
             raise ValueError("weight_coeff must be positive")
 
 
-def downlink_rate(b, ch: ChannelParams):
+def downlink_rate(b, ch: ChannelParams) -> np.ndarray:
     """Downlink rate b*ln(1 + p*g2/(b*n0)), with the b -> 0 limit taken as 0."""
     b = _as_array(b)
     snr_num = ch.p * ch.g2 / ch.n0
     safe_b = np.where(b > 0, b, 1.0)
-    rate = np.where(b > 0, b * np.log1p(snr_num / safe_b), 0.0)
-    if rate.ndim == 0:
-        return float(rate)
-    return rate
+    return np.where(b > 0, b * np.log1p(snr_num / safe_b), 0.0)
 
 
-def immersion(b, f, ch: ChannelParams, hmd: HMDParams):
+def immersion(b, f, ch: ChannelParams, hmd: HMDParams) -> np.ndarray:
     """Immersion metric: downlink rate times the log rendering gain
     ln(Dv(z1*S*b + z2*mu*f^2)/T_th).
 
@@ -233,38 +232,29 @@ def immersion(b, f, ch: ChannelParams, hmd: HMDParams):
     """
     b = _as_array(b)
     f = _as_array(f)
-    rate = _as_array(downlink_rate(b, ch))
+    rate = downlink_rate(b, ch)
     arg = (
         hmd.resolution
         * hmd.framerate
         * (hmd.zeta1 * hmd.s_eff * b + hmd.zeta2 * hmd.mu * f**2)
     )
-    arg = _as_array(arg)
     pos_b = np.broadcast_to(b > 0, arg.shape)
     if np.any(pos_b & (arg <= 0)):
         raise ValueError("rendering argument must be positive (b and f cannot both be 0)")
     gain = np.where(pos_b, np.log(np.where(arg > 0, arg, 1.0) / hmd.t_th), 0.0)
-    out = rate * gain
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return rate * gain
 
 
-def latency(b, ch: ChannelParams):
+def latency(b, ch: ChannelParams) -> np.ndarray:
     """Transmission latency c*d*b."""
-    out = ch.c * ch.d * _as_array(b)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return ch.c * ch.d * _as_array(b)
 
 
 def buyer_value(b, f, ch: ChannelParams, hmd: HMDParams, sens: SensitivityParams) -> np.ndarray:
     """The buyer's value of resources before payment, alpha*immersion -
     beta*latency, elementwise over (..., M, N); a buyer utility is this
     minus the reward R."""
-    imm = _as_array(immersion(b, f, ch, hmd))
-    lat = _as_array(latency(b, ch))
-    return sens.alpha_imm * imm - sens.beta_lat * lat
+    return sens.alpha_imm * immersion(b, f, ch, hmd) - sens.beta_lat * latency(b, ch)
 
 
 def seller_cost(b, f, theta, sigma) -> np.ndarray:
@@ -280,18 +270,15 @@ def eut_expected(menu, grid, ch, hmd, sens) -> float:
     return float(np.sum(grid.q * (buyer_value(menu.b, menu.f, ch, hmd, sens) - menu.r)))
 
 
-def prob_weight(p, coeff: float):
+def prob_weight(p, coeff: float) -> np.ndarray:
     """Inverse-S probability weighting exp(-(-ln p)^coeff) on (0, 1]."""
     p = _as_array(p)
     if np.any(p <= 0) or np.any(p > 1):
         raise ValueError("probabilities must lie in (0, 1]")
-    out = np.exp(-((-np.log(p)) ** coeff))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.exp(-((-np.log(p)) ** coeff))
 
 
-def pt_value(u, pt: PTParams):
+def pt_value(u, pt: PTParams) -> np.ndarray:
     """Reference-dependent value: gains curve above u_ref, loss-averse below.
 
     A NaN utility has a NaN value."""
@@ -300,10 +287,7 @@ def pt_value(u, pt: PTParams):
     # NaN fails d < 0, so it takes the gain branch and stays NaN
     d = u - pt.u_ref
     dist = np.abs(d)
-    out = np.where(d < 0, -pt.kappa * dist**pt.delta_minus, dist**pt.delta_plus)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(d < 0, -pt.kappa * dist**pt.delta_minus, dist**pt.delta_plus)
 
 
 def pt_weights(grid: TypeGrid, pt: PTParams) -> np.ndarray:

@@ -68,7 +68,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+        # a numpy float prints as np.float64(...) under numpy 2's repr
+        lines.append(",".join(repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+                              for x in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -80,15 +82,20 @@ def _menu_rows(menu: ContractMenu) -> list[list]:
     return rows
 
 
+def _exact_solve(cfg: ExperimentConfig, sc: Scenario) -> solver.SolveResult:
+    """The exact grid search on one scenario, refined by the pattern search."""
+    spec = cfg.search.to_spec()
+    result = solver.solve_grid(spec, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
+    return solver.refine_local(result, spec, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
+
+
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
     """Exact (bounded) monotone grid search plus local refinement; emits the menu."""
     out = Path(out_dir or cfg.out_dir)
     rng = np.random.default_rng(cfg.seed)
     sc = sample_scenario(cfg, rng)
-    spec = cfg.search.to_spec()
     t0 = time.monotonic()
-    result = solver.solve_grid(spec, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
-    result = solver.refine_local(result, spec, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
+    result = _exact_solve(cfg, sc)
     elapsed = time.monotonic() - t0
 
     report = feasibility.check_full(result.menu, sc.grid)
@@ -145,8 +152,10 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
     """Run the diffusion-policy training loop; emits log, menu, and baselines.
 
     The emitted menu is re-checked on the final scenario and the summary
-    reports the verdict, its violation counts and the menu's PT expected
-    utility; an infeasible menu does not change the exit code.
+    reports the verdict, its violation counts, the menu's PT expected
+    utility, the objective ``solve``'s search reaches on that scenario and
+    the gap between the two; an infeasible menu does not change the exit
+    code.
     """
     out = Path(out_dir or cfg.out_dir)
     record, agent, sc = run_training(cfg)
@@ -166,12 +175,14 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
     u_pt = pt_expected(record.menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
     counts = [len(v) for v in (report.ir_violations, report.ic_violations,
                                report.monotonicity_violations)]
+    exact = _exact_solve(cfg, sc)
     _write_csv(
         out / "train_summary.csv",
         ["config_hash", "seed", "final_mean_reward", "random_reward", "greedy_reward",
-         "menu_feasible", "ir_violations", "ic_violations", "monotone_violations", "u_pt"],
+         "menu_feasible", "ir_violations", "ic_violations", "monotone_violations", "u_pt",
+         "solver_objective", "gap_to_solver"],
         [[record.config_hash, cfg.seed, record.final_mean_reward(), r_rand, r_greedy,
-          report.feasible, *counts, u_pt]],
+          report.feasible, *counts, u_pt, exact.objective, exact.objective - u_pt]],
     )
     print(
         f"train: final_mean_reward={record.final_mean_reward():.4f} "

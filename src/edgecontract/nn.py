@@ -181,12 +181,9 @@ class Mlp:
             g = np.matmul(g, self._weights_t[i], out=bufs[i - 1]) if i else g @ self._weights_t[0]
         return grad, g if tape.batched else g[..., 0, :]
 
-    def copy_from(self, other: "Mlp") -> None:
-        self.params[...] = other.params
-
     def clone(self) -> "Mlp":
         net = Mlp(self.widths, self.activations, stack=self.stack)
-        net.copy_from(self)
+        net.params[...] = self.params
         return net
 
 

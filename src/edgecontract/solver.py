@@ -116,18 +116,22 @@ class SolveResult:
     evaluations: int
 
 
-def monotone_grids(levels: np.ndarray, m: int, n: int) -> np.ndarray:
-    """All (m, n) matrices with entries from the increasing ``levels`` that
-    are nondecreasing along both axes, as a (K, m, n) array in lexicographic
-    row-major order of the level indices.
+def monotone_grids(points: int, m: int, n: int) -> np.ndarray:
+    """All (m, n) matrices of level indices ``0 .. points - 1`` that are
+    nondecreasing along both axes, as a (K, m, n) array in lexicographic
+    row-major order; indexing increasing levels with them gives the
+    monotone grids over those levels.
 
     Each grid is a chain of m nondecreasing rows, each row at or above the
     one before it entry by entry, so the enumeration takes m - 1 array
-    passes over the rows rather than one per cell.
+    passes over the rows rather than one per cell.  Raises ``ValueError``,
+    before enumerating, when there are more than :data:`MAX_GRIDS` grids.
     """
-    levels = np.asarray(levels)
-    # the nondecreasing rows of level indices, in lexicographic order
-    rows = np.array(list(itertools.combinations_with_replacement(range(len(levels)), n)))
+    if monotone_grid_count(points, m, n) > MAX_GRIDS:
+        raise ValueError(f"grid_points = {points} gives more than {MAX_GRIDS} "
+                         f"monotone grids on a {m} x {n} lattice")
+    # the nondecreasing rows, in lexicographic order
+    rows = np.array(list(itertools.combinations_with_replacement(range(points), n)))
     chains = np.arange(len(rows))[:, None]  # row indices of every grid's rows so far
     if m > 1:
         below = np.all(rows[:, None] <= rows, axis=-1)  # below[a, c]: row c may follow row a
@@ -135,28 +139,15 @@ def monotone_grids(levels: np.ndarray, m: int, n: int) -> np.ndarray:
             # nonzero runs chain-major, row-minor, which keeps the order
             chain, row = np.nonzero(below[chains[:, -1]])
             chains = np.column_stack([chains[chain], row])
-    return levels[rows[chains]]
+    return rows[chains]
 
 
 def monotone_grid_count(points: int, m: int, n: int) -> int:
-    """``len(monotone_grids(levels, m, n))`` for ``points`` levels, without
-    enumerating: MacMahon's count of plane partitions in an m x n x
-    (points - 1) box, the product over cells (i, j), from 1, of
-    (i + j + points - 2) / (i + j - 1)."""
+    """``len(monotone_grids(points, m, n))`` without enumerating: MacMahon's
+    count of plane partitions in an m x n x (points - 1) box, the product
+    over cells (i, j), from 1, of (i + j + points - 2) / (i + j - 1)."""
     cells = list(itertools.product(range(1, m + 1), range(1, n + 1)))
     return math.prod(i + j + points - 2 for i, j in cells) // math.prod(i + j - 1 for i, j in cells)
-
-
-def _level_grids(points: int, m: int, n: int) -> np.ndarray:
-    """The (K, m, n) monotone grids of level indices ``0 .. points - 1``.
-
-    Raises ``ValueError``, before enumerating, when there are more than
-    :data:`MAX_GRIDS` of them.
-    """
-    if monotone_grid_count(points, m, n) > MAX_GRIDS:
-        raise ValueError(f"grid_points = {points} gives more than {MAX_GRIDS} "
-                         f"monotone grids on a {m} x {n} lattice")
-    return monotone_grids(np.arange(points), m, n)
 
 
 def _value_table(b_levels, f_levels, grid, ch, hmd, sens):
@@ -226,7 +217,7 @@ def solve_grid(
     f_levels = np.linspace(spec.f_range[0], spec.f_range[1], spec.grid_points)
     # both level sets are increasing, so one enumeration of level indices
     # gives the b-grids and the f-grids alike
-    idx = _level_grids(spec.grid_points, grid.m, grid.n)
+    idx = monotone_grids(spec.grid_points, grid.m, grid.n)
     cells = np.arange(grid.m)[:, None], np.arange(grid.n)
     n_f = len(idx)
     total = n_f * n_f

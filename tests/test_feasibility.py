@@ -259,6 +259,50 @@ def test_minimal_rewards_never_below_seller_cost(rng):
         assert binding > 0, shape
 
 
+def _largest_two_cycle_weight(b, f, grid):
+    """Per row of a (C, M, N) batch, the largest weight of a 2-cycle i -> j
+    -> i in the IC constraint graph over every pair of cells i, j:
+    (b_i^2 - b_j^2)(1/theta_i - 1/theta_j) + (f_i^2 - f_j^2)(1/sigma_i - 1/sigma_j)."""
+    cells = list(itertools.product(range(grid.m), range(grid.n)))
+    return np.max([
+        (b[:, m, n] ** 2 - b[:, p, q] ** 2) * (1.0 / grid.theta[m] - 1.0 / grid.theta[p])
+        + (f[:, m, n] ** 2 - f[:, p, q] ** 2) * (1.0 / grid.sigma[n] - 1.0 / grid.sigma[q])
+        for (m, n), (p, q) in itertools.combinations(cells, 2)
+    ], axis=0)
+
+
+def test_positive_two_cycle_weight_means_infeasible(rng):
+    # weak monotonicity: a 2-cycle heavier than SLACK_TOL is a positive
+    # cycle, so minimal_rewards must call the row infeasible.  Random rows
+    # cover weights far from the tolerance; the built rows hold b constant
+    # and put the heaviest 2-cycle, (0, N-1) against (1, 0), at a few
+    # SLACK_TOL: f = x on row 0 right of column 0, y below it, with x < y
+    for shape in LATTICES:
+        for _ in range(5):
+            grid = make_grid(rng, *shape)
+            pairs = [monotone_bf(rng, *shape) for _ in range(200)]
+            b = np.array([bf[0] for bf in pairs])
+            f = np.array([bf[1] for bf in pairs])
+            heavy = _largest_two_cycle_weight(b, f, grid) > fz.SLACK_TOL
+            _, feasible = fz.minimal_rewards(b, f, grid)
+            assert heavy.any() and feasible.any(), shape
+            assert not feasible[heavy].any(), shape
+
+            k = np.array([1.5, 2.0, 3.0, 5.0, 10.0])
+            y = rng.uniform(0.5, 3.0, size=len(k))
+            gap = 1.0 / grid.sigma[0] - 1.0 / grid.sigma[-1]
+            x = np.sqrt(y**2 - k * fz.SLACK_TOL / gap)
+            f = np.repeat(y, shape[0] * shape[1]).reshape(len(k), *shape)
+            f[:, 0, 0] = 0.0
+            f[:, 0, 1:] = x[:, None]
+            b = np.full(f.shape, rng.uniform(0.0, 10.0))
+            assert not fz.monotone_descents(f).any()
+            weight = _largest_two_cycle_weight(b, f, grid)
+            assert np.all((weight > fz.SLACK_TOL) & (weight < 11 * fz.SLACK_TOL)), weight
+            _, feasible = fz.minimal_rewards(b, f, grid)
+            assert not feasible.any(), (shape, weight)
+
+
 # -- recurrence vs oracle ---------------------------------------------------
 
 def test_recurrence_rejects_non_monotone(rng):

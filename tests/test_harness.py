@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgecontract import cli, harness
+from edgecontract import cli, harness, solver
 from edgecontract import feasibility as fz
 from edgecontract.econ import ContractMenu, pt_expected
 from edgecontract.harness import RunRecord
@@ -214,6 +214,12 @@ def test_menu_csv_roundtrip(tmp_path, rng):
     assert np.array_equal(loaded.r, menu.r)
 
 
+def test_write_csv_prints_numpy_floats_as_python_floats(tmp_path):
+    rows = [[np.float64(0.1), np.float32(0.5), 1], [0.1, 0.5, np.int64(1)]]
+    harness._write_csv(tmp_path / "x.csv", ["a", "b", "c"], rows)
+    assert (tmp_path / "x.csv").read_text() == "a,b,c\n0.1,0.5,1\n0.1,0.5,1\n"
+
+
 def test_final_mean_reward_window():
     metrics = [{"epoch": e, "step": 0, "reward": float(e)} for e in range(10)]
     rec = RunRecord(config_hash="x", seed=0, metrics=metrics, menu=None, wall_clock=0.0)
@@ -284,7 +290,8 @@ def test_cmd_train_writes_artifacts(tmp_path):
     assert (tmp_path / "train_menu.csv").exists()
     summary = (tmp_path / "train_summary.csv").read_text().splitlines()
     assert summary[0] == ("config_hash,seed,final_mean_reward,random_reward,greedy_reward,"
-                          "menu_feasible,ir_violations,ic_violations,monotone_violations,u_pt")
+                          "menu_feasible,ir_violations,ic_violations,monotone_violations,u_pt,"
+                          "solver_objective,gap_to_solver")
     # the verdict is the re-check of the written menu on the final scenario,
     # which without resampling is the first draw
     sc = sample_scenario(cfg, np.random.default_rng((cfg.seed, 0)))
@@ -293,7 +300,14 @@ def test_cmd_train_writes_artifacts(tmp_path):
     row = summary[1].split(",")
     assert row[5:9] == [str(report.feasible), str(len(report.ir_violations)),
                         str(len(report.ic_violations)), str(len(report.monotonicity_violations))]
-    assert float(row[9]) == pt_expected(menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
+    u_pt = pt_expected(menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
+    assert float(row[9]) == u_pt
+    # the exact optimum on the same scenario, searched as solve searches it
+    args = (sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
+    spec = cfg.search.to_spec()
+    exact = solver.refine_local(solver.solve_grid(spec, *args), spec, *args)
+    assert float(row[10]) == exact.objective
+    assert float(row[11]) == exact.objective - u_pt
 
 
 # -- CLI --------------------------------------------------------------------

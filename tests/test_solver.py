@@ -2,6 +2,7 @@
 
 import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def test_monotone_grids_match_brute_force_enumeration(shape, count):
     # the exact sequence, not just the set: solve_grid's first-index tie-break
     # depends on the lexicographic row-major order
     levels = np.array([0.0, 1.0, 2.0])
-    got = monotone_grids(levels, *shape)
+    got = levels[monotone_grids(3, *shape)]
     every = np.array(list(itertools.product(levels, repeat=shape[0] * shape[1]))).reshape(-1, *shape)
     verdicts = []
     for g in every:
@@ -72,13 +73,9 @@ def test_monotone_grids_match_brute_force_enumeration(shape, count):
     assert len(got) == count
     # and on the whole stack at once
     assert np.array_equal(~fz.monotone_descents(every).any(axis=(-3, -2, -1)), verdicts)
-    # solve_grid enumerates level indices once and indexes both level sets;
     # load_config bounds their number in closed form
     for points in (3, 4, 5):
-        levels = np.linspace(0.0, 3.0, points)
-        idx = monotone_grids(np.arange(points), *shape).astype(int)
-        assert np.array_equal(monotone_grids(levels, *shape), levels[idx])
-        assert monotone_grid_count(points, *shape) == len(idx)
+        assert monotone_grid_count(points, *shape) == len(monotone_grids(points, *shape))
 
 
 @pytest.mark.parametrize("shape,points", [((1, 4), 5), ((3, 1), 5), ((2, 2), 5), ((3, 3), 4)],
@@ -89,9 +86,7 @@ def test_monotone_grids_match_brute_force_on_more_lattices(shape, points):
     every = np.array(list(itertools.product(range(points), repeat=shape[0] * shape[1])))
     every = every.reshape(-1, *shape)
     keep = ~fz.monotone_descents(every).any(axis=(-3, -2, -1))
-    levels = np.linspace(0.0, 3.0, points)
-    assert np.array_equal(monotone_grids(np.arange(points), *shape), every[keep])
-    assert np.array_equal(monotone_grids(levels, *shape), levels[every[keep]])
+    assert np.array_equal(monotone_grids(points, *shape), every[keep])
     assert monotone_grid_count(points, *shape) == np.count_nonzero(keep)
 
 
@@ -103,14 +98,17 @@ def test_monotone_grid_count_admits_the_largest_benchmarked_lattices():
 
 def test_solve_grid_refuses_too_many_grids_before_enumerating(rng, monkeypatch):
     # called directly, not through load_config, solve_grid still bounds the
-    # enumeration: the count is checked in closed form first
+    # enumeration: monotone_grids checks the count in closed form first
     def never(*a):
-        raise AssertionError("monotone_grids ran on an unbounded grid_points")
+        raise AssertionError("monotone_grids enumerated an unbounded grid_points")
 
-    monkeypatch.setattr(solver, "monotone_grids", never)
+    monkeypatch.setattr(solver, "itertools", SimpleNamespace(
+        product=itertools.product, combinations_with_replacement=never))
     args = (make_grid(rng), simple_channel(), simple_hmd(), simple_sens(), _pt())
     with pytest.raises(ValueError, match="grid_points = 1000"):
         solve_grid(SearchSpec(grid_points=1000), *args)
+    with pytest.raises(ValueError, match="grid_points = 1000"):
+        monotone_grids(1000, 2, 2)
 
 
 def test_solve_grid_matches_independent_enumeration(rng):
@@ -125,8 +123,8 @@ def test_solve_grid_matches_independent_enumeration(rng):
     b_levels = np.linspace(0.0, 10.0, 3)
     f_levels = np.linspace(0.0, 3.0, 3)
     best = -np.inf
-    for b in monotone_grids(b_levels, 2, 2):
-        for f in monotone_grids(f_levels, 2, 2):
+    for b in b_levels[monotone_grids(3, 2, 2)]:
+        for f in f_levels[monotone_grids(3, 2, 2)]:
             try:
                 r = fz.optimal_rewards(b, f, grid)
             except fz.InfeasibleMenuError:
@@ -142,8 +140,9 @@ def _per_candidate_solve(spec, grid, ch, hmd, sens, pt):
     b_levels = np.linspace(spec.b_range[0], spec.b_range[1], spec.grid_points)
     f_levels = np.linspace(spec.f_range[0], spec.f_range[1], spec.grid_points)
     best_menu, best_obj, evals = None, -np.inf, 0
-    for b in monotone_grids(b_levels, grid.m, grid.n):
-        for f in monotone_grids(f_levels, grid.m, grid.n):
+    idx = monotone_grids(spec.grid_points, grid.m, grid.n)
+    for b in b_levels[idx]:
+        for f in f_levels[idx]:
             evals += 1
             try:
                 r = fz.minimal_reward_oracle(b, f, grid)
@@ -237,8 +236,8 @@ def test_solve_grid_never_picks_nan_objective(rng, monkeypatch):
 def test_b_grid_bound_covers_every_candidate_sharing_it(rng, shape, points):
     b_levels = np.linspace(0.0, 10.0, points)
     f_levels = np.linspace(0.0, 3.0, points)
-    b_idx = monotone_grids(np.arange(points), *shape).astype(int)
-    f_cands = monotone_grids(f_levels, *shape)
+    b_idx = monotone_grids(points, *shape)
+    f_cands = f_levels[b_idx]  # one enumeration indexes both axes' levels
     weighted = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=2.25, u_ref=10.0,
                         weight_coeff=0.7, use_weighting=True)
     for pt in (_pt(), weighted):
@@ -331,8 +330,8 @@ def test_solve_grid_answer_holds_under_any_valid_bound(rng, monkeypatch):
     spec = SearchSpec(grid_points=5)
     _patch_pt_score(monkeypatch, lambda real: lambda *a: np.floor(real(*a) / 5.0) * 5.0)
     menu, obj, _ = _per_candidate_solve(spec, *args)
-    b_cands = monotone_grids(np.linspace(0.0, 10.0, 5), 2, 2)
-    f_cands = monotone_grids(np.linspace(0.0, 3.0, 5), 2, 2)
+    b_cands = np.linspace(0.0, 10.0, 5)[monotone_grids(5, 2, 2)]
+    f_cands = np.linspace(0.0, 3.0, 5)[monotone_grids(5, 2, 2)]
     b_stacks = [np.broadcast_to(b, f_cands.shape) for b in b_cands]
     tightest = np.array([
         solver._complete_and_score(
