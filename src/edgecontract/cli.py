@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--menu", type=Path, default=None, help="menu CSV to re-check")
         if name == "sweep":
             p.add_argument(
-                "--param", choices=("u_ref", "kappa"), default="u_ref",
+                "--param", choices=tuple(harness.SWEEPS), default="u_ref",
                 help="which preference parameter to sweep",
             )
     return parser
@@ -60,6 +60,8 @@ def main(argv: list[str] | None = None) -> int:
 
     out = args.out
     try:
+        # an unusable output path fails here, before any command does its work
+        Path(out or cfg.out_dir).mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
             return harness.cmd_solve(cfg, out)
         if args.command == "train":
@@ -73,6 +75,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -454,10 +454,10 @@ def soft_update(agent: GdmAgent) -> None:
         target.params += online.params * tau
 
 
-def train(agent: GdmAgent, scenario_fn, seed: int) -> tuple[list[dict], Scenario | None]:
+def train(agent: GdmAgent, scenario_fn, seed: int) -> tuple[list[dict], Scenario]:
     """Off-policy training loop for ``agent.hp.episodes`` x ``agent.hp.steps``
     steps; returns one log record per (episode, step) and the last scenario
-    drawn (``None`` when there are no episodes).
+    drawn.
 
     ``scenario_fn(rng)`` draws a scenario.  One draw is made up front; with
     ``hp.resample_each_step`` every step also draws its own scenario and the
@@ -468,8 +468,6 @@ def train(agent: GdmAgent, scenario_fn, seed: int) -> tuple[list[dict], Scenario
     """
     hp = agent.hp
     log: list[dict] = []
-    if hp.episodes <= 0:
-        return log, None
     sc = scenario_fn(np.random.default_rng((seed, 0)))
     noise_hi = hp.explore_noise
     noise_lo = noise_hi if hp.explore_noise_final < 0 else hp.explore_noise_final

@@ -44,6 +44,12 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _coerce(obj, *names: str) -> None:
+    """Store the named fields of frozen dataclass ``obj`` as float arrays."""
+    for name in names:
+        object.__setattr__(obj, name, _as_array(getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class TypeGrid:
     """The M x N lattice of seller types.
@@ -59,9 +65,8 @@ class TypeGrid:
     q: np.ndarray
 
     def __post_init__(self):
-        theta = _as_array(self.theta)
-        sigma = _as_array(self.sigma)
-        q = _as_array(self.q)
+        _coerce(self, "theta", "sigma", "q")
+        theta, sigma, q = self.theta, self.sigma, self.q
         if theta.ndim != 1 or sigma.ndim != 1:
             raise ValueError("theta and sigma must be 1-D")
         if np.any(theta <= 0) or np.any(sigma <= 0):
@@ -76,9 +81,6 @@ class TypeGrid:
             raise ValueError("probabilities must be nonnegative")
         if abs(q.sum() - 1.0) > _PROB_TOL:
             raise ValueError("probabilities must sum to 1")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "q", q)
 
     @property
     def m(self) -> int:
@@ -98,14 +100,10 @@ class ContractMenu:
     r: np.ndarray
 
     def __post_init__(self):
-        b = _as_array(self.b)
-        f = _as_array(self.f)
-        r = _as_array(self.r)
-        if b.ndim != 2 or b.shape != f.shape or b.shape != r.shape:
+        _coerce(self, "b", "f", "r")
+        shape = self.b.shape
+        if len(shape) != 2 or self.f.shape != shape or self.r.shape != shape:
             raise ValueError("b, f, r must be equal-shape 2-D arrays")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "r", r)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -135,16 +133,11 @@ class ChannelParams:
     d: np.ndarray
 
     def __post_init__(self):
-        p = _as_array(self.p)
-        g2 = _as_array(self.g2)
-        d = _as_array(self.d)
-        if np.any(p <= 0) or np.any(g2 <= 0) or self.n0 <= 0:
+        _coerce(self, "p", "g2", "d")
+        if np.any(self.p <= 0) or np.any(self.g2 <= 0) or self.n0 <= 0:
             raise ValueError("p, g2 and n0 must be positive")
-        if self.c < 0 or np.any(d < 0):
+        if self.c < 0 or np.any(self.d < 0):
             raise ValueError("c and d must be nonnegative")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "g2", g2)
-        object.__setattr__(self, "d", d)
 
 
 @dataclass(frozen=True)
@@ -169,12 +162,9 @@ class HMDParams:
             raise ValueError("zeta1 + zeta2 must equal 1")
         if self.t_th <= 0:
             raise ValueError("t_th must be positive")
-        mu = _as_array(self.mu)
-        s_eff = _as_array(self.s_eff)
-        if np.any(mu <= 0):
+        _coerce(self, "mu", "s_eff")
+        if np.any(self.mu <= 0):
             raise ValueError("mu must be positive")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "s_eff", s_eff)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,14 @@ from .diffusion import (
     baseline_greedy,
     baseline_random,
     generate,
+    reward_fn,
     train,
 )
 from .econ import ContractMenu, pt_expected
 from .scenario import MAX_REDRAWS, ExperimentConfig, config_hash, sample_scenario
 
 __all__ = [
+    "SWEEPS",
     "RunRecord",
     "cmd_solve",
     "cmd_train",
@@ -35,6 +37,8 @@ __all__ = [
 
 U_REF_SWEEP = (5.0, 10.0, 15.0, 20.0)
 KAPPA_SWEEP = (0.5, 1.0, 1.5, 2.0)
+# the [pt] parameters sweep can vary, each with its settings in sweep order
+SWEEPS = {"u_ref": U_REF_SWEEP, "kappa": KAPPA_SWEEP}
 
 # columns of the per-step training logs train and sweep write
 LOG_COLUMNS = [
@@ -49,10 +53,8 @@ _BASELINE_TAG = 102
 
 @dataclass
 class RunRecord:
-    config_hash: str
-    seed: int
     metrics: list[dict]
-    menu: ContractMenu | None
+    menu: ContractMenu
     wall_clock: float
 
     def final_mean_reward(self, window: int = 20) -> float:
@@ -74,12 +76,23 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_log(path: Path, metrics: list[dict]) -> None:
+    """One training log: a row of :data:`LOG_COLUMNS` per (episode, step)."""
+    _write_csv(path, LOG_COLUMNS, [[row[h] for h in LOG_COLUMNS] for row in metrics])
+
+
 def _menu_rows(menu: ContractMenu) -> list[list]:
     rows = []
     for m in range(menu.shape[0]):
         for n in range(menu.shape[1]):
-            rows.append([m, n, float(menu.b[m, n]), float(menu.f[m, n]), float(menu.r[m, n])])
+            rows.append([m, n, menu.b[m, n], menu.f[m, n], menu.r[m, n]])
     return rows
+
+
+def _violation_counts(report: feasibility.FeasibilityReport) -> list[int]:
+    """IR, IC and monotonicity violation counts of one re-check."""
+    return [len(report.ir_violations), len(report.ic_violations),
+            len(report.monotonicity_violations)]
 
 
 def _exact_solve(cfg: ExperimentConfig, sc: Scenario) -> solver.SolveResult:
@@ -138,14 +151,8 @@ def run_training(cfg: ExperimentConfig) -> tuple[RunRecord, GdmAgent, Scenario]:
     t0 = time.monotonic()
     log, sc = train(agent, lambda rng: sample_scenario(cfg, rng), cfg.seed)
     elapsed = time.monotonic() - t0
-    record = RunRecord(
-        config_hash=config_hash(cfg),
-        seed=cfg.seed,
-        metrics=log,
-        menu=generate(sc, agent, np.random.default_rng((cfg.seed, _EVAL_TAG))) if sc else None,
-        wall_clock=elapsed,
-    )
-    return record, agent, sc
+    menu = generate(sc, agent, np.random.default_rng((cfg.seed, _EVAL_TAG)))
+    return RunRecord(metrics=log, menu=menu, wall_clock=elapsed), agent, sc
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
@@ -158,30 +165,27 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
     code.
     """
     out = Path(out_dir or cfg.out_dir)
-    record, agent, sc = run_training(cfg)
-
-    _write_csv(
-        out / "train_log.csv",
-        LOG_COLUMNS,
-        [[row[h] for h in LOG_COLUMNS] for row in record.metrics],
-    )
-    # episodes >= 1 at load, so training always ends on a scenario and a menu
+    record, _, sc = run_training(cfg)
+    _write_log(out / "train_log.csv", record.metrics)
     _write_csv(out / "train_menu.csv", ["m", "n", "b", "f", "r"], _menu_rows(record.menu))
 
+    # the baselines are scored with the run's own reward shaping
+    t = cfg.training
     rng = np.random.default_rng((cfg.seed, _BASELINE_TAG))
-    _, r_rand = baseline_random(sc, cfg.bounds(), rng)
-    _, r_greedy = baseline_greedy(sc, cfg.bounds())
+    r_rand, r_greedy = (
+        reward_fn(menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt, t.penalty_weight, t.violations_only)
+        for menu, _ in (baseline_random(sc, cfg.bounds(), rng), baseline_greedy(sc, cfg.bounds()))
+    )
     report = feasibility.check_full(record.menu, sc.grid)
     u_pt = pt_expected(record.menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
-    counts = [len(v) for v in (report.ir_violations, report.ic_violations,
-                               report.monotonicity_violations)]
+    counts = _violation_counts(report)
     exact = _exact_solve(cfg, sc)
     _write_csv(
         out / "train_summary.csv",
         ["config_hash", "seed", "final_mean_reward", "random_reward", "greedy_reward",
          "menu_feasible", "ir_violations", "ic_violations", "monotone_violations", "u_pt",
          "solver_objective", "gap_to_solver"],
-        [[record.config_hash, cfg.seed, record.final_mean_reward(), r_rand, r_greedy,
+        [[config_hash(cfg), cfg.seed, record.final_mean_reward(), r_rand, r_greedy,
           report.feasible, *counts, u_pt, exact.objective, exact.objective - u_pt]],
     )
     print(
@@ -204,9 +208,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path | None = None, menu_csv: Pat
         menu = _read_menu_csv(menu_csv, cfg.scenario.m, cfg.scenario.n)
         report = feasibility.check_full(menu, sc.grid)
         if not report.feasible:
-            failures.append(f"menu {menu_csv} infeasible: {len(report.ir_violations)} IR, "
-                            f"{len(report.ic_violations)} IC, "
-                            f"{len(report.monotonicity_violations)} monotonicity violations")
+            failures.append("menu {} infeasible: {} IR, {} IC, {} monotonicity violations".format(
+                menu_csv, *_violation_counts(report)))
     else:
         # reduction equivalence spot check on fresh random menus; roughly a
         # third of random monotone grids carry a positive IC cycle and are
@@ -306,34 +309,18 @@ def _random_monotone_resources(rng: np.random.Generator, cfg: ExperimentConfig):
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path | None = None, which: str = "u_ref") -> int:
-    """Train across a preference sweep with a common seed; emits per-setting CSVs."""
+    """Train across one of :data:`SWEEPS` with a common seed; emits per-setting CSVs."""
     out = Path(out_dir or cfg.out_dir)
-    records = []
-    if which == "u_ref":
-        settings = [("u_ref", v) for v in U_REF_SWEEP]
-    elif which == "kappa":
-        settings = [("kappa", v) for v in KAPPA_SWEEP]
-    else:
+    if which not in SWEEPS:
         raise ValueError(f"unknown sweep {which!r}")
+    rows = []
+    for value in SWEEPS[which]:
+        record, _, _ = run_training(replace(cfg, pt=replace(cfg.pt, **{which: value})))
+        _write_log(out / f"sweep_{which}_{value}.csv", record.metrics)
+        rows.append([value, record.final_mean_reward()])
 
-    for name, value in settings:
-        sub = replace(cfg)  # shallow copy; pt replaced below
-        sub.pt = replace(cfg.pt, **{name: value})
-        record, _, sc = run_training(sub)
-        records.append((value, record, sc))
-        _write_csv(
-            out / f"sweep_{name}_{value}.csv",
-            LOG_COLUMNS,
-            [[row[h] for h in LOG_COLUMNS] for row in record.metrics],
-        )
-
-    finals = [(v, rec.final_mean_reward()) for v, rec, _ in records]
-    _write_csv(
-        out / f"sweep_{which}_summary.csv",
-        [which, "final_mean_reward"],
-        [[v, r] for v, r in finals],
-    )
-    rewards = [r for _, r in finals]
-    monotone = all(rewards[i] >= rewards[i + 1] for i in range(len(rewards) - 1))
+    _write_csv(out / f"sweep_{which}_summary.csv", [which, "final_mean_reward"], rows)
+    rewards = [r for _, r in rows]
+    monotone = all(a >= b for a, b in zip(rewards, rewards[1:]))
     print(f"sweep {which}: finals={['%.3f' % r for r in rewards]} nonincreasing={monotone}")
     return 0 if monotone else 1

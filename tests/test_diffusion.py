@@ -336,9 +336,14 @@ def test_soft_update_endpoints_and_contraction():
 
 # -- training loop and baselines --------------------------------------------
 
-def test_train_zero_episodes_returns_empty_log():
+def test_train_zero_episodes_returns_empty_log_and_first_draw():
     agent = _small_agent(seed=7, episodes=0, steps=3)
-    assert df.train(agent, _scenario, seed=0) == ([], None)
+    log, sc = df.train(agent, _scenario, seed=0)
+    assert log == []
+    # the first draw uses stream (seed, 0); its type grid is the drawn part
+    first = _scenario(np.random.default_rng((0, 0)))
+    for name in ("theta", "sigma", "q"):
+        np.testing.assert_array_equal(getattr(sc.grid, name), getattr(first.grid, name))
 
 
 def test_train_fixed_seed_reproducible():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edgecontract import cli, harness, solver
+from edgecontract import diffusion as df
 from edgecontract import feasibility as fz
 from edgecontract.econ import ContractMenu, pt_expected
 from edgecontract.harness import RunRecord
@@ -222,7 +223,8 @@ def test_write_csv_prints_numpy_floats_as_python_floats(tmp_path):
 
 def test_final_mean_reward_window():
     metrics = [{"epoch": e, "step": 0, "reward": float(e)} for e in range(10)]
-    rec = RunRecord(config_hash="x", seed=0, metrics=metrics, menu=None, wall_clock=0.0)
+    menu = ContractMenu(b=np.zeros((2, 2)), f=np.zeros((2, 2)), r=np.zeros((2, 2)))
+    rec = RunRecord(metrics=metrics, menu=menu, wall_clock=0.0)
     assert rec.final_mean_reward(window=3) == pytest.approx((7 + 8 + 9) / 3)
     assert rec.final_mean_reward(window=100) == pytest.approx(4.5)
 
@@ -310,6 +312,21 @@ def test_cmd_train_writes_artifacts(tmp_path):
     assert float(row[11]) == exact.objective - u_pt
 
 
+def test_cmd_train_scores_baselines_with_the_run_shaping(tmp_path):
+    cfg = _fast_cfg()
+    cfg.training.penalty_weight = 0.5
+    cfg.training.violations_only = True
+    assert harness.cmd_train(cfg, tmp_path) == 0
+    row = (tmp_path / "train_summary.csv").read_text().splitlines()[1].split(",")
+    # the final scenario is the first draw without resampling; the baseline
+    # menus come from the same streams cmd_train draws them from
+    sc = sample_scenario(cfg, np.random.default_rng((cfg.seed, 0)))
+    rng = np.random.default_rng((cfg.seed, harness._BASELINE_TAG))
+    menus = [df.baseline_random(sc, cfg.bounds(), rng)[0], df.baseline_greedy(sc, cfg.bounds())[0]]
+    shaped = [df.reward_fn(m, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt, 0.5, True) for m in menus]
+    assert [float(row[3]), float(row[4])] == shaped
+
+
 # -- CLI --------------------------------------------------------------------
 
 def test_cli_bad_config_path_exits_2(tmp_path):
@@ -354,19 +371,20 @@ def test_cli_seed_flag_beats_env(tmp_path, monkeypatch):
     assert summary.split(",")[1] == "4"
 
 
-def test_cli_sweep_writes_one_log_per_setting(tmp_path):
+@pytest.mark.parametrize("param", sorted(harness.SWEEPS))
+def test_cli_sweep_writes_one_log_per_setting(tmp_path, param):
     cfgfile = tmp_path / "sweep.ini"
     cfgfile.write_text("[training]\nepisodes = 4\nsteps = 2\nbatch_size = 16\n"
                        "hidden_width = 8\nhidden_layers = 1\n")
     out = tmp_path / "out"
-    code = cli.main(["sweep", "--config", str(cfgfile), "--param", "kappa", "--out", str(out)])
-    for value in harness.KAPPA_SWEEP:
-        log = (out / f"sweep_kappa_{value}.csv").read_text().splitlines()
+    code = cli.main(["sweep", "--config", str(cfgfile), "--param", param, "--out", str(out)])
+    for value in harness.SWEEPS[param]:
+        log = (out / f"sweep_{param}_{value}.csv").read_text().splitlines()
         assert log[0] == ",".join(harness.LOG_COLUMNS)
         assert len(log) == 1 + 4 * 2
-    summary = (out / "sweep_kappa_summary.csv").read_text().splitlines()
-    assert summary[0] == "kappa,final_mean_reward"
-    assert [float(row.split(",")[0]) for row in summary[1:]] == list(harness.KAPPA_SWEEP)
+    summary = (out / f"sweep_{param}_summary.csv").read_text().splitlines()
+    assert summary[0] == f"{param},final_mean_reward"
+    assert [float(row.split(",")[0]) for row in summary[1:]] == list(harness.SWEEPS[param])
     finals = [float(row.split(",")[1]) for row in summary[1:]]
     nonincreasing = all(a >= b for a, b in zip(finals, finals[1:]))
     assert code == (0 if nonincreasing else 1)
@@ -378,6 +396,26 @@ def _cli_fails_cleanly(argv, capsys) -> None:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
+
+
+def test_cli_solve_out_at_regular_file_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    cfgfile = str(_solve_config_file(tmp_path))
+    for out in (tmp_path / "file", tmp_path / "file" / "sub"):
+        err = _cli_fails_cleanly(["solve", "--config", cfgfile, "--out", str(out)], capsys)
+        assert err.startswith("error: cannot write output: "), err
+
+
+def test_cli_train_out_at_regular_file_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    def no_training(cfg):
+        raise AssertionError("training ran before the output directory was checked")
+
+    monkeypatch.setattr(harness, "run_training", no_training)
+    (tmp_path / "file").write_text("")
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text(f"[run]\nout_dir = {tmp_path / 'file' / 'sub'}\n")
+    _cli_fails_cleanly(["train", "--out", str(tmp_path / "file")], capsys)
+    _cli_fails_cleanly(["train", "--config", str(cfgfile)], capsys)
 
 
 def test_cli_non_integer_env_seed_exits_2(tmp_path, monkeypatch, capsys):
