@@ -58,10 +58,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 2
 
-    out = args.out
+    out = Path(args.out or cfg.out_dir)
     try:
         # an unusable output path fails here, before any command does its work
-        Path(out or cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
             return harness.cmd_solve(cfg, out)
         if args.command == "train":

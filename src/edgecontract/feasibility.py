@@ -2,9 +2,9 @@
 
 A menu is feasible when it is IR, IC and monotone.  A seller's utility
 from an item is its reward minus :func:`econ.seller_cost`, the one copy of
-``b^2/theta + f^2/sigma``; the slack tensor, the IR start of the minimal
-rewards and the recurrence's rewards all price items through it.  Each
-constraint is decided in one place:
+``b^2/theta + f^2/sigma``; the slack tensor, the IR start and IC weights of
+the minimal rewards and the recurrence's rewards all price items through
+it.  Each constraint is decided in one place:
 
 * :func:`monotone_descents` is the one monotonicity definition: a resource
   grid is monotone when it is nondecreasing along both type axes, within
@@ -84,18 +84,6 @@ class FeasibilityReport:
     @property
     def feasible(self) -> bool:
         return not (self.ir_violations or self.ic_violations or self.monotonicity_violations)
-
-    def csv_rows(self) -> list[str]:
-        """Plain CSV listing: kind, indices, slack."""
-        rows = ["kind,m,n,p,q,slack"]
-        for m, n, s in self.ir_violations:
-            rows.append(f"ir,{m},{n},,,{s!r}")
-        for m, n, p, q, s in self.ic_violations:
-            rows.append(f"ic,{m},{n},{p},{q},{s!r}")
-        for v in self.monotonicity_violations:
-            field_name, (i, j), (m, n) = v
-            rows.append(f"monotone_{field_name},{i},{j},{m},{n},")
-        return rows
 
 
 def cross_utility_tensor(menu: ContractMenu, grid: TypeGrid) -> np.ndarray:
@@ -248,18 +236,19 @@ def optimal_rewards(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
 def minimal_rewards(b, f, grid: TypeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise-minimal rewards for a batch of (C, M, N) resource grids.
 
-    The IC constraints are difference constraints on R,
+    With c_{m,n}(p, q) the :func:`econ.seller_cost` type (m, n) pays for
+    item (p, q), the IC constraints are difference constraints on R,
 
-        R_{m,n} >= R_{p,q} + (b_{m,n}^2 - b_{p,q}^2)/theta_m
-                           + (f_{m,n}^2 - f_{p,q}^2)/sigma_n,
+        R_{m,n} >= R_{p,q} + c_{m,n}(m, n) - c_{m,n}(p, q),
 
-    so, starting from the IR lower bounds, Jacobi relaxation over the
-    complete constraint graph converges to the least fixpoint (longest
-    paths, CLRS §24.4).  Every candidate relaxes on its own slice of one
-    (MN, MN, C) weight tensor; a candidate still being raised after MN + 2
-    rounds has a positive cycle, i.e. is infeasible.  Returns
-    ``(r, feasible)`` with shapes (C, M, N) and (C,); the rewards of
-    infeasible candidates are meaningless.
+    so, starting from the IR lower bounds R_{m,n} >= c_{m,n}(m, n), Jacobi
+    relaxation over the complete constraint graph converges to the least
+    fixpoint (longest paths, CLRS §24.4).  One seller_cost call prices
+    every (type, item, candidate) triple, and every candidate relaxes on
+    its own slice of the (MN, MN, C) weights; a candidate still being
+    raised after MN + 2 rounds has a positive cycle, i.e. is infeasible.
+    Returns ``(r, feasible)`` with shapes (C, M, N) and (C,); the rewards
+    of infeasible candidates are meaningless.
     """
     b = np.asarray(b, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -267,15 +256,14 @@ def minimal_rewards(b, f, grid: TypeGrid) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("resource grids must be (C, M, N) with the type grid's shape")
 
     c, mn = b.shape[0], grid.m * grid.n
-    # cells lead and candidates trail, so every array pass runs over C
+    # cells lead and candidates trail, so every array pass runs over C;
+    # cost[i, j, c] is what cell i's type pays for cell j's item
     b, f = b.reshape(c, mn).T, f.reshape(c, mn).T
-    b2, f2 = np.square(b, order="C"), np.square(f, order="C")
-    theta = np.repeat(grid.theta, grid.n)[:, None]  # per cell, row-major
-    sigma = np.tile(grid.sigma, grid.m)[:, None]
-
+    cost = seller_cost(b, f, grid.theta[:, None, None, None],
+                       grid.sigma[:, None, None]).reshape(mn, mn, c)
+    r = np.einsum("iic->ic", cost)  # IR lower bounds, (MN, C)
     # w[i, j, c]: least excess of R_i over R_j; the diagonal is exactly 0
-    w = (b2[:, None] - b2) * (1.0 / theta)[:, None] + (f2[:, None] - f2) * (1.0 / sigma)[:, None]
-    r = seller_cost(b, f, theta, sigma)  # IR lower bounds, (MN, C)
+    w = r[:, None] - cost
     for _ in range(mn + 2):
         bound = np.max(r + w, axis=1)
         up = bound > r + SLACK_TOL * 1e-3

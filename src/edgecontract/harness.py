@@ -1,8 +1,8 @@
 """Experiment commands: solve, train, verify, sweep.
 
-Every command takes an :class:`ExperimentConfig`, writes CSV artifacts into
-the configured output directory, and returns 0 on success.  Outputs are a
-deterministic function of (config, seed).
+Every command takes an :class:`ExperimentConfig` and the output directory
+its caller resolved, writes CSV artifacts there, and returns 0 on success.
+Outputs are a deterministic function of (config, seed).
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ LOG_COLUMNS = [
     "epoch", "step", "reward", "u_pt", "ic_slack_sum", "ir_slack_min",
     "critic_loss", "actor_loss",
 ]
+# columns of every menu CSV the commands write and verify --menu reads
+MENU_COLUMNS = ["m", "n", "b", "f", "r"]
 
 # sub-stream tags keeping evaluation and baseline draws off the training streams
 _EVAL_TAG = 101
@@ -81,12 +83,24 @@ def _write_log(path: Path, metrics: list[dict]) -> None:
     _write_csv(path, LOG_COLUMNS, [[row[h] for h in LOG_COLUMNS] for row in metrics])
 
 
-def _menu_rows(menu: ContractMenu) -> list[list]:
-    rows = []
-    for m in range(menu.shape[0]):
-        for n in range(menu.shape[1]):
-            rows.append([m, n, menu.b[m, n], menu.f[m, n], menu.r[m, n]])
-    return rows
+def _write_menu(path: Path, menu: ContractMenu) -> None:
+    """One menu: a row of :data:`MENU_COLUMNS` per cell, row-major."""
+    _write_csv(path, MENU_COLUMNS, [[m, n, menu.b[m, n], menu.f[m, n], menu.r[m, n]]
+                                    for m, n in np.ndindex(menu.shape)])
+
+
+def _write_summary(path: Path, cfg: ExperimentConfig, header: list[str], values: list) -> None:
+    """A one-row summary led by the run's ``config_hash`` and ``seed``."""
+    _write_csv(path, ["config_hash", "seed", *header], [[config_hash(cfg), cfg.seed, *values]])
+
+
+def _write_violations(path: Path, report: feasibility.FeasibilityReport) -> None:
+    """Every violation of one re-check, a row each: kind, cell, other cell, slack."""
+    rows = [["ir", m, n, "", "", s] for m, n, s in report.ir_violations]
+    rows += [["ic", *v] for v in report.ic_violations]
+    rows += [[f"monotone_{k}", i, j, m, n, ""]
+             for k, (i, j), (m, n) in report.monotonicity_violations]
+    _write_csv(path, ["kind", "m", "n", "p", "q", "slack"], rows)
 
 
 def _violation_counts(report: feasibility.FeasibilityReport) -> list[int]:
@@ -102,9 +116,8 @@ def _exact_solve(cfg: ExperimentConfig, sc: Scenario) -> solver.SolveResult:
     return solver.refine_local(result, spec, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
 
 
-def cmd_solve(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
+def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     """Exact (bounded) monotone grid search plus local refinement; emits the menu."""
-    out = Path(out_dir or cfg.out_dir)
     rng = np.random.default_rng(cfg.seed)
     sc = sample_scenario(cfg, rng)
     t0 = time.monotonic()
@@ -113,22 +126,14 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
 
     report = feasibility.check_full(result.menu, sc.grid)
     if not report.feasible:
-        (out / "solve_violations.csv").parent.mkdir(parents=True, exist_ok=True)
-        (out / "solve_violations.csv").write_text("\n".join(report.csv_rows()) + "\n")
+        _write_violations(out / "solve_violations.csv", report)
         print("solve: emitted menu failed feasibility re-check")
         return 1
 
-    _write_csv(
-        out / "solve_menu.csv",
-        ["m", "n", "b", "f", "r"],
-        _menu_rows(result.menu),
-    )
+    _write_menu(out / "solve_menu.csv", result.menu)
     # wall-clock goes to stdout only so CSVs stay byte-identical across runs
-    _write_csv(
-        out / "solve_summary.csv",
-        ["config_hash", "seed", "objective", "evaluations"],
-        [[config_hash(cfg), cfg.seed, result.objective, result.evaluations]],
-    )
+    _write_summary(out / "solve_summary.csv", cfg, ["objective", "evaluations"],
+                   [result.objective, result.evaluations])
     print(
         f"solve: objective={result.objective:.6f} evaluations={result.evaluations} "
         f"({elapsed:.2f}s)"
@@ -155,7 +160,7 @@ def run_training(cfg: ExperimentConfig) -> tuple[RunRecord, GdmAgent, Scenario]:
     return RunRecord(metrics=log, menu=menu, wall_clock=elapsed), agent, sc
 
 
-def cmd_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
+def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     """Run the diffusion-policy training loop; emits log, menu, and baselines.
 
     The emitted menu is re-checked on the final scenario and the summary
@@ -164,10 +169,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
     the gap between the two; an infeasible menu does not change the exit
     code.
     """
-    out = Path(out_dir or cfg.out_dir)
     record, _, sc = run_training(cfg)
     _write_log(out / "train_log.csv", record.metrics)
-    _write_csv(out / "train_menu.csv", ["m", "n", "b", "f", "r"], _menu_rows(record.menu))
+    _write_menu(out / "train_menu.csv", record.menu)
 
     # the baselines are scored with the run's own reward shaping
     t = cfg.training
@@ -180,13 +184,13 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
     u_pt = pt_expected(record.menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
     counts = _violation_counts(report)
     exact = _exact_solve(cfg, sc)
-    _write_csv(
-        out / "train_summary.csv",
-        ["config_hash", "seed", "final_mean_reward", "random_reward", "greedy_reward",
-         "menu_feasible", "ir_violations", "ic_violations", "monotone_violations", "u_pt",
+    _write_summary(
+        out / "train_summary.csv", cfg,
+        ["final_mean_reward", "random_reward", "greedy_reward", "menu_feasible",
+         "ir_violations", "ic_violations", "monotone_violations", "u_pt",
          "solver_objective", "gap_to_solver"],
-        [[config_hash(cfg), cfg.seed, record.final_mean_reward(), r_rand, r_greedy,
-          report.feasible, *counts, u_pt, exact.objective, exact.objective - u_pt]],
+        [record.final_mean_reward(), r_rand, r_greedy, report.feasible, *counts, u_pt,
+         exact.objective, exact.objective - u_pt],
     )
     print(
         f"train: final_mean_reward={record.final_mean_reward():.4f} "
@@ -197,9 +201,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
     return 0
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: Path | None = None, menu_csv: Path | None = None) -> int:
+def cmd_verify(cfg: ExperimentConfig, out: Path, menu_csv: Path | None = None) -> int:
     """Re-run the feasibility property suites; optionally re-check a menu CSV."""
-    out = Path(out_dir or cfg.out_dir)
     rng = np.random.default_rng(cfg.seed)
     failures = []
 
@@ -241,11 +244,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path | None = None, menu_csv: Pat
             elif r_orc is not None and not np.allclose(r_rec, r_orc, rtol=1e-6, atol=1e-9):
                 failures.append(f"recurrence/oracle mismatch on trial {trial}")
 
-    _write_csv(
-        out / "verify_summary.csv",
-        ["config_hash", "seed", "failures"],
-        [[config_hash(cfg), cfg.seed, len(failures)]],
-    )
+    _write_summary(out / "verify_summary.csv", cfg, ["failures"], [len(failures)])
     for msg in failures:
         print(f"verify: {msg}")
     print(f"verify: {'OK' if not failures else 'FAILED'}")
@@ -253,20 +252,23 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path | None = None, menu_csv: Pat
 
 
 def _read_menu_csv(path: Path, m: int, n: int) -> ContractMenu:
-    """Parse an m x n menu CSV as the commands write it: header ``m,n,b,f,r``
-    and one row per cell.  Any other content raises ValueError."""
+    """Parse an m x n menu CSV as the commands write it: a header of
+    :data:`MENU_COLUMNS` and one row per cell.  Any other content raises
+    ValueError."""
     try:
         lines = Path(path).read_text().strip().splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read menu {path}: {exc.strerror}") from None
-    if not lines or lines[0].strip() != "m,n,b,f,r":
-        raise ValueError(f"menu {path}: header must be m,n,b,f,r")
+    header = ",".join(MENU_COLUMNS)
+    if not lines or lines[0].strip() != header:
+        raise ValueError(f"menu {path}: header must be {header}")
     bfr = np.empty((3, m, n))
     seen = set()
     for lineno, line in enumerate(lines[1:], start=2):
         cols = line.split(",")
-        if len(cols) != 5:
-            raise ValueError(f"menu {path} line {lineno}: expected 5 columns, got {len(cols)}")
+        if len(cols) != len(MENU_COLUMNS):
+            raise ValueError(f"menu {path} line {lineno}: expected {len(MENU_COLUMNS)} columns, "
+                             f"got {len(cols)}")
         try:
             cell = int(cols[0]), int(cols[1])
             values = [float(c) for c in cols[2:]]
@@ -308,9 +310,8 @@ def _random_monotone_resources(rng: np.random.Generator, cfg: ExperimentConfig):
     return b, f
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path | None = None, which: str = "u_ref") -> int:
+def cmd_sweep(cfg: ExperimentConfig, out: Path, which: str = "u_ref") -> int:
     """Train across one of :data:`SWEEPS` with a common seed; emits per-setting CSVs."""
-    out = Path(out_dir or cfg.out_dir)
     if which not in SWEEPS:
         raise ValueError(f"unknown sweep {which!r}")
     rows = []

@@ -178,9 +178,9 @@ def _b_grid_bounds(value, b_levels, f_levels, b_idx, grid, pt):
 
     ``value`` is the :func:`_value_table` of the levels.  Each b-grid is
     scored at the IR rewards with, cell by cell, the f level whose utility
-    is largest there.  The IR rewards are the :func:`econ.seller_cost` call
-    :func:`feasibility.minimal_rewards` starts from, and that function only
-    raises them, so the bound holds in floating point too.
+    is largest there.  The IR rewards are the :func:`econ.seller_cost`
+    values :func:`feasibility.minimal_rewards` starts from, bit for bit, and
+    that function only raises them, so the bound holds in floating point too.
     """
     ir = seller_cost(b_levels[:, None, None, None], f_levels[:, None, None],
                      grid.theta[:, None], grid.sigma)

@@ -208,7 +208,7 @@ def test_menu_csv_roundtrip(tmp_path, rng):
         r=rng.uniform(0, 50, (2, 2)),
     )
     path = tmp_path / "menu.csv"
-    harness._write_csv(path, ["m", "n", "b", "f", "r"], harness._menu_rows(menu))
+    harness._write_menu(path, menu)
     loaded = harness._read_menu_csv(path, 2, 2)
     assert np.array_equal(loaded.b, menu.b)
     assert np.array_equal(loaded.f, menu.f)
@@ -240,6 +240,28 @@ def test_cmd_solve_writes_artifacts(tmp_path):
     assert summary[1].startswith(config_hash(cfg))
 
 
+def test_cmd_solve_lists_violations_of_a_failed_recheck(tmp_path, monkeypatch):
+    # f falls along row 0 and r[0, 0] = 1 is envied by every other type
+    r = np.zeros((2, 2))
+    r[0, 0] = 1.0
+    menu = ContractMenu(b=np.zeros((2, 2)), f=np.array([[1.0, 0.0], [1.0, 1.0]]), r=r)
+    monkeypatch.setattr(harness, "_exact_solve",
+                        lambda cfg, sc: solver.SolveResult(menu=menu, objective=0.0, evaluations=0))
+    assert harness.cmd_solve(ExperimentConfig(), tmp_path) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["solve_violations.csv"]
+    assert (tmp_path / "solve_violations.csv").read_text() == (
+        "kind,m,n,p,q,slack\n"
+        "ir,1,0,,,-0.07305873540515785\n"
+        "ir,1,1,,,-0.009837410858781663\n"
+        "ic,0,1,0,0,-0.9901625891412184\n"
+        "ic,1,0,0,0,-1.0\n"
+        "ic,1,0,0,1,-0.07305873540515785\n"
+        "ic,1,1,0,0,-1.0\n"
+        "ic,1,1,0,1,-0.009837410858781663\n"
+        "monotone_f,0,0,0,1,\n"
+    )
+
+
 def test_cmd_verify_passes_and_rechecks_solver_menu(tmp_path):
     cfg = _fast_cfg()
     assert harness.cmd_solve(cfg, tmp_path) == 0
@@ -252,7 +274,7 @@ def test_cmd_verify_flags_bad_menu(tmp_path):
     cfg = _fast_cfg()
     menu = ContractMenu(b=np.full((2, 2), 9.0), f=np.full((2, 2), 2.5), r=np.zeros((2, 2)))
     path = tmp_path / "bad_menu.csv"
-    harness._write_csv(path, ["m", "n", "b", "f", "r"], harness._menu_rows(menu))
+    harness._write_menu(path, menu)
     assert harness.cmd_verify(cfg, tmp_path, menu_csv=path) == 1
 
 
@@ -278,7 +300,7 @@ def test_cli_verify_rejects_menu_falling_along_one_axis(tmp_path, capsys):
     f = np.array([[3.0, 3.0], [0.0, 3.0]])
     menu = ContractMenu(b=b, f=f, r=fz.minimal_reward_oracle(b, f, grid))
     path = tmp_path / "menu.csv"
-    harness._write_csv(path, ["m", "n", "b", "f", "r"], harness._menu_rows(menu))
+    harness._write_menu(path, menu)
     assert cli.main(["verify", "--seed", "13", "--menu", str(path), "--out", str(tmp_path)]) == 1
     assert "0 IR, 0 IC, 1 monotonicity violations" in capsys.readouterr().out
 
