@@ -54,6 +54,9 @@ def main(argv: list[str] | None = None) -> int:
                 cfg.seed = int(env_seed)
             except ValueError:
                 raise ValueError(f"EDGECONTRACT_SEED={env_seed!r} is not an integer") from None
+        # from --seed, EDGECONTRACT_SEED or [run] seed
+        if cfg.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 2

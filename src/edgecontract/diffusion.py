@@ -37,6 +37,7 @@ __all__ = [
     "GdmHyperparams",
     "GdmAgent",
     "ReplayBuffer",
+    "LOG_COLUMNS",
     "encode_state",
     "forward_diffuse",
     "generate",
@@ -52,6 +53,9 @@ __all__ = [
 
 # levels per resource axis the greedy baseline searches
 GREEDY_POINTS = 33
+# fields of each per-step record train returns, in the order the logs write them
+LOG_COLUMNS = ["epoch", "step", "reward", "u_pt", "ic_slack_sum", "ir_slack_min",
+               "critic_loss", "actor_loss"]
 
 
 @dataclass(frozen=True)
@@ -337,46 +341,33 @@ def reward_components(
 
 @dataclass
 class ReplayBuffer:
-    """Fixed-capacity FIFO transition store with uniform sampling."""
+    """Fixed-capacity FIFO transition store with uniform sampling.
+
+    Each transition is one row of ``rows``: ``[s, a, r, s', done]``."""
 
     capacity: int
     state_dim: int
     act_dim: int
-    _idx: int = 0
-    size: int = 0
-    states: np.ndarray = field(init=False)
-    actions: np.ndarray = field(init=False)
-    rewards: np.ndarray = field(init=False)
-    next_states: np.ndarray = field(init=False)
-    dones: np.ndarray = field(init=False)
+    added: int = 0
+    rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.states = np.zeros((self.capacity, self.state_dim))
-        self.actions = np.zeros((self.capacity, self.act_dim))
-        self.rewards = np.zeros(self.capacity)
-        self.next_states = np.zeros((self.capacity, self.state_dim))
-        self.dones = np.zeros(self.capacity)
+        self.rows = np.zeros((self.capacity, 2 * self.state_dim + self.act_dim + 2))
+
+    @property
+    def size(self) -> int:
+        return min(self.added, self.capacity)
 
     def add(self, s, a, r, s_next, done) -> None:
-        i = self._idx
-        self.states[i] = s
-        self.actions[i] = a
-        self.rewards[i] = r
-        self.next_states[i] = s_next
-        self.dones[i] = float(done)
-        self._idx = (i + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
+        self.rows[self.added % self.capacity] = np.concatenate([s, a, [r], s_next, [done]])
+        self.added += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator):
         # with replacement so updates can start before the buffer fills
         idx = rng.integers(0, self.size, size=batch_size)
-        return (
-            self.states[idx],
-            self.actions[idx],
-            self.rewards[idx],
-            self.next_states[idx],
-            self.dones[idx],
-        )
+        sd, ad = self.state_dim, self.act_dim
+        s, a, r, s_next, done = np.split(self.rows[idx], np.cumsum([sd, ad, 1, sd]), axis=1)
+        return s, a, r[:, 0], s_next, done[:, 0]
 
 
 def critic_update(agent: GdmAgent, batch, rng: np.random.Generator) -> tuple[float, float]:
@@ -506,18 +497,8 @@ def train(agent: GdmAgent, scenario_fn, seed: int) -> tuple[list[dict], Scenario
             for net in (agent.actor, agent.critics):
                 if not np.all(np.isfinite(net.params)):
                     raise FloatingPointError(f"non-finite parameters at episode {ep} step {t}")
-            log.append(
-                {
-                    "epoch": ep,
-                    "step": t,
-                    "reward": r,
-                    "u_pt": u_pt,
-                    "ic_slack_sum": ic_sum,
-                    "ir_slack_min": ir_min,
-                    "critic_loss": 0.5 * (c1 + c2),
-                    "actor_loss": a_loss,
-                }
-            )
+            record = (ep, t, r, u_pt, ic_sum, ir_min, 0.5 * (c1 + c2), a_loss)
+            log.append(dict(zip(LOG_COLUMNS, record)))
     return log, sc
 
 

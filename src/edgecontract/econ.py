@@ -31,7 +31,6 @@ __all__ = [
     "pt_value",
     "pt_weights",
     "pt_score",
-    "pt_objective",
     "pt_expected",
     "dbm_to_watts",
     "db_to_linear",
@@ -144,7 +143,8 @@ class ChannelParams:
 class HMDParams:
     """Head-mounted-display rendering constants.
 
-    ``mu`` is the effective capacitance coefficient (scalar or per type pair).
+    ``mu`` is the effective capacitance coefficient and ``s_eff`` the
+    rendering efficiency (each scalar or per type pair).
     """
 
     resolution: float
@@ -160,11 +160,10 @@ class HMDParams:
             raise ValueError("zeta weights must be positive")
         if abs(self.zeta1 + self.zeta2 - 1.0) > 1e-12:
             raise ValueError("zeta1 + zeta2 must equal 1")
-        if self.t_th <= 0:
-            raise ValueError("t_th must be positive")
         _coerce(self, "mu", "s_eff")
-        if np.any(self.mu <= 0):
-            raise ValueError("mu must be positive")
+        for name in ("t_th", "mu", "s_eff"):
+            if np.any(getattr(self, name) <= 0):
+                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -299,18 +298,11 @@ def pt_score(u, grid: TypeGrid, pt: PTParams) -> np.ndarray:
     return np.sum(pt_weights(grid, pt) * pt_value(u, pt), axis=(-2, -1))
 
 
-def pt_objective(b, f, r, grid, ch, hmd, sens, pt: PTParams) -> np.ndarray:
-    """Prospect-theory expected buyer utility of menus stacked as (..., M, N)
-    arrays of ``b``, ``f`` and ``r``; one value per leading index: the
-    :func:`pt_score` of :func:`buyer_value` minus R.
-    """
-    return pt_score(buyer_value(b, f, ch, hmd, sens) - r, grid, pt)
-
-
 def pt_expected(menu, grid, ch, hmd, sens, pt: PTParams) -> float:
-    """Prospect-theory expected buyer utility of one menu (:func:`pt_objective`)."""
+    """Prospect-theory expected buyer utility of one menu: the
+    :func:`pt_score` of :func:`buyer_value` minus R."""
     menu.check_dims(grid)
-    return float(pt_objective(menu.b, menu.f, menu.r, grid, ch, hmd, sens, pt))
+    return float(pt_score(buyer_value(menu.b, menu.f, ch, hmd, sens) - menu.r, grid, pt))
 
 
 def dbm_to_watts(x: float) -> float:

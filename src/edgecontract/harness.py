@@ -15,6 +15,7 @@ import numpy as np
 
 from . import diffusion, feasibility, solver
 from .diffusion import (
+    LOG_COLUMNS,
     GdmAgent,
     Scenario,
     baseline_greedy,
@@ -40,11 +41,6 @@ KAPPA_SWEEP = (0.5, 1.0, 1.5, 2.0)
 # the [pt] parameters sweep can vary, each with its settings in sweep order
 SWEEPS = {"u_ref": U_REF_SWEEP, "kappa": KAPPA_SWEEP}
 
-# columns of the per-step training logs train and sweep write
-LOG_COLUMNS = [
-    "epoch", "step", "reward", "u_pt", "ic_slack_sum", "ir_slack_min",
-    "critic_loss", "actor_loss",
-]
 # columns of every menu CSV the commands write and verify --menu reads
 MENU_COLUMNS = ["m", "n", "b", "f", "r"]
 

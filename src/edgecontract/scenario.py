@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -69,14 +69,8 @@ class PTConfig:
     use_weighting: bool = False
 
     def to_params(self) -> PTParams:
-        return PTParams(
-            delta_plus=self.delta_plus,
-            delta_minus=self.delta_minus,
-            kappa=self.kappa,
-            u_ref=self.u_ref,
-            weight_coeff=self.weight_coeff,
-            use_weighting=self.use_weighting,
-        )
+        # the [pt] keys are PTParams' fields, one for one
+        return PTParams(**asdict(self))
 
 
 @dataclass
@@ -133,6 +127,8 @@ def _parse_value(text: str, kind):
         return int(text)
     if kind is float:
         return float(text)
+    if kind is str:
+        return text
     # tuple[float, float] ranges, comma separated
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 2:
@@ -154,18 +150,12 @@ def load_config(path: str | None = None, text: str | None = None) -> ExperimentC
     cfg = ExperimentConfig()
     for section in parser.sections():
         if section == "run":
-            for key, val in parser.items(section):
-                if key == "seed":
-                    cfg.seed = int(val)
-                elif key == "out_dir":
-                    cfg.out_dir = val
-                else:
-                    raise ValueError(f"unknown key [run] {key}")
-            continue
-        if section not in _SECTIONS:
+            target, known = cfg, {"seed", "out_dir"}
+        elif section in _SECTIONS:
+            target = getattr(cfg, section)
+            known = {f.name for f in fields(target)}
+        else:
             raise ValueError(f"unknown config section [{section}]")
-        target = getattr(cfg, section)
-        known = {f.name for f in fields(target)}
         for key, val in parser.items(section):
             if key not in known:
                 raise ValueError(f"unknown key [{section}] {key}")
@@ -209,8 +199,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     for name in ("actor_lr", "critic_lr", "r_max"):
         if not getattr(cfg.training, name) > 0:
             raise ValueError(f"[training] {name} must be > 0")
-    # scalars only the sampled scenario would otherwise check
-    for name in ("resolution", "framerate", "t_th", "bandwidth_unit_hz"):
+    # scalars no scenario type checks
+    for name in ("resolution", "framerate", "bandwidth_unit_hz"):
         if not getattr(sc, name) > 0:
             raise ValueError(f"[scenario] {name} must be > 0")
     if sc.n_sellers < 1:
@@ -225,6 +215,15 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ValueError(
                 f"[scenario] {axis}2_range must reach above the upper end of {axis}1_range"
             )
+    # each draw lies between its range's ends and each type's rule on a drawn
+    # value is monotone in it, so the types built at the ends (the lowest
+    # first type below the highest second) check every draw
+    try:
+        TypeGrid(theta=(sc.theta1_range[0], sc.theta2_range[1]),
+                 sigma=(sc.sigma1_range[0], sc.sigma2_range[1]), q=np.full((2, 2), 0.25))
+        _environment(sc, *(np.array([getattr(sc, f"{name}_range")]) for name in _PER_TYPE))
+    except ValueError as exc:
+        raise ValueError(f"[scenario] {exc}") from None
 
 
 def canonical_serialization(cfg: ExperimentConfig) -> str:
@@ -248,6 +247,21 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 MAX_REDRAWS = 1000
+# the per-type-pair draws, each from its [scenario] <name>_range, in draw order
+_PER_TYPE = ("power_dbm", "gain_db", "distance", "s_eff", "mu")
+
+
+def _environment(sc: ScenarioConfig, power_dbm, gain_db, d, s_eff, mu):
+    """The channel, display and sensitivities of 2-D per-type-pair draws
+    named by :data:`_PER_TYPE`."""
+    # element by element: numpy's vectorized pow can differ in the last bits
+    p = np.array([[dbm_to_watts(x) for x in row] for row in power_dbm])
+    g2 = np.array([[db_to_linear(x) for x in row] for row in gain_db])
+    n0 = dbm_to_watts(sc.noise_dbm) * sc.bandwidth_unit_hz  # per bandwidth unit
+    ch = ChannelParams(p=p, g2=g2, n0=n0, c=sc.latency_c, d=d)
+    hmd = HMDParams(resolution=sc.resolution, framerate=sc.framerate, s_eff=s_eff, t_th=sc.t_th,
+                    zeta1=sc.zeta1, zeta2=sc.zeta2, mu=mu)
+    return ch, hmd, SensitivityParams(alpha_imm=sc.alpha_imm, beta_lat=sc.beta_lat)
 
 
 def _sample_increasing_pair(rng, lo_range, hi_range):
@@ -272,24 +286,9 @@ def sample_scenario(cfg: ExperimentConfig, rng: np.random.Generator) -> Scenario
     q = q / q.sum()
 
     shape = (sc.m, sc.n)
-    p = np.array([[dbm_to_watts(x) for x in row] for row in
-                  rng.uniform(*sc.power_dbm_range, size=shape)])
-    g2 = np.array([[db_to_linear(x) for x in row] for row in
-                   rng.uniform(*sc.gain_db_range, size=shape)])
-    n0 = dbm_to_watts(sc.noise_dbm) * sc.bandwidth_unit_hz  # per bandwidth unit
-    d = rng.uniform(*sc.distance_range, size=shape)
-    ch = ChannelParams(p=p, g2=g2, n0=n0, c=sc.latency_c, d=d)
-
-    hmd = HMDParams(
-        resolution=sc.resolution,
-        framerate=sc.framerate,
-        s_eff=rng.uniform(*sc.s_eff_range, size=shape),
-        t_th=sc.t_th,
-        zeta1=sc.zeta1,
-        zeta2=sc.zeta2,
-        mu=rng.uniform(*sc.mu_range, size=shape),
+    ch, hmd, sens = _environment(
+        sc, *[rng.uniform(*getattr(sc, f"{name}_range"), size=shape) for name in _PER_TYPE]
     )
-    sens = SensitivityParams(alpha_imm=sc.alpha_imm, beta_lat=sc.beta_lat)
     grid = TypeGrid(theta=theta, sigma=sigma, q=q)
     return Scenario(
         grid=grid, ch=ch, hmd=hmd, sens=sens, pt=cfg.pt.to_params(), n_sellers=sc.n_sellers

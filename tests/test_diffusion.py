@@ -226,13 +226,38 @@ def test_reward_components_match_separate_evaluations(rng):
 
 # -- replay buffer ----------------------------------------------------------
 
+def _transition(i):
+    """Transition ``i`` for a buffer of state_dim 2 and act_dim 3, every
+    field distinct from every other transition's."""
+    return [i, i + 0.1], [i + 0.2, i + 0.3, i + 0.4], i + 0.5, [i + 0.6, i + 0.7], i % 2 == 1
+
+
 def test_replay_buffer_fifo_overwrite():
-    buf = df.ReplayBuffer(capacity=3, state_dim=1, act_dim=1)
+    buf = df.ReplayBuffer(capacity=3, state_dim=2, act_dim=3)
     for i in range(5):
-        buf.add([float(i)], [0.0], float(i), [0.0], False)
-    assert buf.size == 3
-    # oldest two (0, 1) were overwritten by 3 and 4
-    assert sorted(buf.rewards.tolist()) == [2.0, 3.0, 4.0]
+        buf.add(*_transition(i))
+    assert buf.size == 3 and buf.added == 5
+    # oldest two (0, 1) were overwritten by 3 and 4, each in its FIFO slot:
+    # one row [s, a, r, s', done] per transition
+    expect = [np.concatenate([s, a, [r], sn, [d]])
+              for s, a, r, sn, d in map(_transition, (3, 4, 2))]
+    assert np.array_equal(buf.rows, np.array(expect))
+
+
+def test_replay_buffer_sample_returns_whole_transitions():
+    buf = df.ReplayBuffer(capacity=4, state_dim=2, act_dim=3)
+    for i in range(7):
+        buf.add(*_transition(i))
+    s, a, r, sn, d = buf.sample(50, np.random.default_rng(0))
+    # the same uniform index draw as one integers call over the filled rows
+    idx = np.random.default_rng(0).integers(0, 4, size=50)
+    assert set(idx.tolist()) == {0, 1, 2, 3}
+    for k, row in enumerate(idx):
+        i = int(s[k, 0])
+        assert i in (3, 4, 5, 6) and (i % 4) == row
+        ts, ta, tr, tsn, td = _transition(i)
+        assert s[k].tolist() == ts and a[k].tolist() == ta and r[k] == tr
+        assert sn[k].tolist() == tsn and d[k] == float(td)
 
 
 def test_replay_buffer_sample_shapes(rng):

@@ -20,7 +20,6 @@ from edgecontract.econ import (
     latency,
     prob_weight,
     pt_expected,
-    pt_objective,
     pt_score,
     pt_value,
     pt_weights,
@@ -75,8 +74,10 @@ def test_hmd_params_validation():
         HMDParams(resolution=1.0, framerate=1.0, s_eff=1.0, t_th=1.0, zeta1=0.7, zeta2=0.5)
     with pytest.raises(ValueError):
         HMDParams(resolution=1.0, framerate=1.0, s_eff=1.0, t_th=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mu must be > 0"):
         HMDParams(resolution=1.0, framerate=1.0, s_eff=1.0, t_th=1.0, mu=0.0)
+    with pytest.raises(ValueError, match="s_eff must be > 0"):
+        HMDParams(resolution=1.0, framerate=1.0, s_eff=np.array([1.0, -3.0]), t_th=1.0)
 
 
 def test_pt_params_validation():
@@ -260,8 +261,10 @@ def test_pt_value_propagates_nan():
     grid = TypeGrid(theta=[50.0, 100.0], sigma=[50.0, 100.0], q=np.full((2, 2), 0.25))
     b = np.full((2, 2), 5.0)
     r = np.array([[0.0, np.nan], [0.0, 0.0]])
-    obj = pt_objective(b, b / 5.0, r, grid, simple_channel(), simple_hmd(), simple_sens(), pt)
-    assert np.isnan(obj)
+    u = buyer_value(b, b / 5.0, simple_channel(), simple_hmd(), simple_sens()) - r
+    assert np.isnan(pt_score(u, grid, pt))
+    assert np.isnan(pt_expected(ContractMenu(b=b, f=b / 5.0, r=r), grid, simple_channel(),
+                                simple_hmd(), simple_sens(), pt))
 
 
 def test_prob_weight_fixed_points():
@@ -327,7 +330,7 @@ def test_pt_expected_with_weighting_uses_transformed_mass(rng):
     assert pt_expected(menu, grid, ch, hmd, sens, pt) == pytest.approx(expect, rel=1e-12)
 
 
-def test_pt_objective_is_pt_score_of_buyer_value(rng):
+def test_pt_expected_is_pt_score_of_buyer_value(rng):
     grid = make_grid(rng)
     q = np.array([[0.0, 0.3], [0.3, 0.4]])
     zero_cell = TypeGrid(theta=grid.theta, sigma=grid.sigma, q=q)
@@ -344,7 +347,9 @@ def test_pt_objective_is_pt_score_of_buyer_value(rng):
         u = buyer_value(b, f, ch, hmd, sens) - r
         expect = np.sum(w * pt_value(u, pt), axis=(-2, -1))
         assert np.array_equal(pt_score(u, zero_cell, pt), expect)
-        assert np.array_equal(pt_objective(b, f, r, zero_cell, ch, hmd, sens, pt), expect)
+        for k in range(b.shape[0]):
+            menu = ContractMenu(b=b[k], f=f[k], r=r[k])
+            assert pt_expected(menu, zero_cell, ch, hmd, sens, pt) == float(expect[k])
 
 
 # -- unit conversions -------------------------------------------------------

@@ -180,6 +180,15 @@ def test_sample_scenario_first_type_mean(rng):
     ("[scenario]\nt_th = -1\n", "t_th must be > 0"),
     ("[scenario]\nbandwidth_unit_hz = 0\n", "bandwidth_unit_hz must be > 0"),
     ("[scenario]\nn_sellers = 0\n", "n_sellers must be >= 1"),
+    # values only a sampled scenario's types would reject, each checked at
+    # its range's ends by the type's own rule
+    ("[scenario]\ntheta1_range = -1, 100\n", r"\[scenario\] type parameters must be positive"),
+    ("[scenario]\nsigma1_range = 0, 100\n", r"\[scenario\] type parameters must be positive"),
+    ("[scenario]\nmu_range = -1, 0.5\n", r"\[scenario\] mu must be > 0"),
+    ("[scenario]\ns_eff_range = -3, 1\n", r"\[scenario\] s_eff must be > 0"),
+    ("[scenario]\ndistance_range = -5, 10\n", r"\[scenario\] c and d must be nonnegative"),
+    ("[scenario]\nzeta1 = 0.7\n", r"\[scenario\] zeta1 \+ zeta2 must equal 1"),
+    ("[scenario]\nalpha_imm = -1\n", r"\[scenario\] sensitivities must be nonnegative"),
 ])
 def test_load_config_rejects_unusable_values(text, match):
     with pytest.raises(ValueError, match=match):
@@ -445,6 +454,39 @@ def test_cli_non_integer_env_seed_exits_2(tmp_path, monkeypatch, capsys):
     _cli_fails_cleanly(["solve", "--config", str(_solve_config_file(tmp_path))], capsys)
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_cli_negative_seed_exits_2_before_any_output(tmp_path, monkeypatch, capsys, source):
+    cfgfile = _solve_config_file(tmp_path)
+    argv = ["solve", "--config", str(cfgfile), "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "env":
+        monkeypatch.setenv("EDGECONTRACT_SEED", "-3")
+    else:
+        cfgfile.write_text(cfgfile.read_text() + "[run]\nseed = -2\n")
+    err = _cli_fails_cleanly(argv, capsys)
+    assert err.startswith("error: bad config: seed must be >= 0"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_screening_config_menus_screen_the_types(tmp_path):
+    # the committed scenario where the optimal menu is not one pooled item at
+    # the box's top corner: every menu passes the re-check, offers at least
+    # two distinct (b, f) items and keeps every reward below r_max
+    path = Path(__file__).resolve().parents[1] / "configs" / "screening.ini"
+    cfg = load_config(path=str(path))
+    box = cfg.search
+    for seed in range(16):
+        out = tmp_path / str(seed)
+        assert cli.main(["solve", "--config", str(path), "--seed", str(seed), "--out", str(out)]) == 0
+        menu = harness._read_menu_csv(out / "solve_menu.csv", 2, 2)
+        grid = sample_scenario(cfg, np.random.default_rng(seed)).grid
+        assert fz.check_full(menu, grid).feasible
+        assert not np.all((menu.b == box.b_max) & (menu.f == box.f_max))
+        assert len(set(zip(menu.b.ravel().tolist(), menu.f.ravel().tolist()))) >= 2
+        assert menu.r.max() < cfg.training.r_max
+
+
 @pytest.mark.parametrize("text", [
     "[search]\ngrid_points = 1\n",
     "[search]\ngrid_points = 1000\n",
@@ -469,6 +511,8 @@ def test_cli_non_integer_env_seed_exits_2(tmp_path, monkeypatch, capsys):
     "[scenario]\nt_th = -1\n",
     "[scenario]\nbandwidth_unit_hz = 0\n",
     "[scenario]\nn_sellers = 0\n",
+    "[scenario]\ntheta1_range = -1, 100\n",
+    "[scenario]\nmu_range = -1, 0.5\n",
     "episodes = 4\n",
     "[training]\nepisodes = 4\n[training]\nsteps = 2\n",
     "[training]\nepisodes = 4\nepisodes = 5\n",

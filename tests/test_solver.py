@@ -35,9 +35,9 @@ def _pt():
 
 
 def _patch_pt_score(monkeypatch, wrap):
-    """Replace econ.pt_score by ``wrap(pt_score)`` where pt_objective (so
-    pt_expected) and the solver both look it up: every candidate score,
-    probe score and b-grid bound then goes through the wrapper."""
+    """Replace econ.pt_score by ``wrap(pt_score)`` where pt_expected and
+    the solver both look it up: every candidate score, probe score and
+    b-grid bound then goes through the wrapper."""
     patched = wrap(econ.pt_score)
     monkeypatch.setattr(econ, "pt_score", patched)
     monkeypatch.setattr(solver, "pt_score", patched)
