@@ -133,8 +133,9 @@ class ChannelParams:
 
     def __post_init__(self):
         _coerce(self, "p", "g2", "d")
-        if np.any(self.p <= 0) or np.any(self.g2 <= 0) or self.n0 <= 0:
-            raise ValueError("p, g2 and n0 must be positive")
+        # NaN and inf fail (x > 0) & (x < inf)
+        if not all(np.all((x > 0) & (x < np.inf)) for x in (self.p, self.g2, self.n0)):
+            raise ValueError("p, g2 and n0 must be positive and finite")
         if self.c < 0 or np.any(self.d < 0):
             raise ValueError("c and d must be nonnegative")
 
@@ -161,8 +162,8 @@ class HMDParams:
         if abs(self.zeta1 + self.zeta2 - 1.0) > 1e-12:
             raise ValueError("zeta1 + zeta2 must equal 1")
         _coerce(self, "mu", "s_eff")
-        for name in ("t_th", "mu", "s_eff"):
-            if np.any(getattr(self, name) <= 0):
+        for name in ("resolution", "framerate", "t_th", "mu", "s_eff"):
+            if not np.all(getattr(self, name) > 0):
                 raise ValueError(f"{name} must be > 0")
 
 

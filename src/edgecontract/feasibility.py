@@ -2,14 +2,20 @@
 
 A menu is feasible when it is IR, IC and monotone.  A seller's utility
 from an item is its reward minus :func:`econ.seller_cost`, the one copy of
-``b^2/theta + f^2/sigma``; the slack tensor, the IR start and IC weights of
-the minimal rewards and the recurrence's rewards all price items through
-it.  Each constraint is decided in one place:
+``b^2/theta + f^2/sigma``.  Each rule is stated in one place:
 
+* :func:`_cross_cost` is the one cross-cost table: c_{m,n}(p, q), what type
+  (m, n) pays for item (p, q), as one :func:`econ.seller_cost` broadcast.
+  Its diagonal is each type's own cost, the IR term.  The slack tensor, the
+  relaxation's IR start and IC weights and the recurrence's bounds all read
+  it.
+* :func:`_lattice_pairs` is the one neighbour definition: type pairs one
+  step apart along either axis or both.  :func:`check_reduced` keeps the
+  comparable ones, and the recurrence relaxes over all of them.
 * :func:`monotone_descents` is the one monotonicity definition: a resource
   grid is monotone when it is nondecreasing along both type axes, within
   :data:`SLACK_TOL`.  The checkers, the precondition of
-  :func:`recurrence_utilities` and the solver's refinement all go through it.
+  :func:`optimal_rewards` and the solver's refinement all go through it.
 * :func:`ic_slack` is the one computation of IR and IC slack (own-item
   utilities and the (M, N, M, N) slack tensor).  :func:`check_full` and
   :func:`check_reduced` list violations from one call of it, each passing
@@ -24,12 +30,12 @@ of one, which raises :class:`InfeasibleMenuError` instead of returning a
 verdict.  The solver's grid search completes its candidates in batches, and
 its refinement completes one probe at a time.
 
-:func:`recurrence_utilities` / :func:`optimal_rewards` — the closed-form
-chain over type neighbors, valid for monotone resource grids — are kept as
-the independent reference: on 2 x 2 lattices (every cell pair adjacent) the
-two routes must agree exactly, and tests and ``verify`` enforce this.  On
-larger lattices the neighbor recurrence can under-estimate when a
-non-adjacent constraint binds.
+:func:`optimal_rewards` — a Gauss-Seidel recurrence over lattice
+neighbours, valid for monotone resource grids — is kept as the independent
+reference: on 2 x 2 lattices (every cell pair adjacent) the two routes must
+agree, and tests and ``verify`` enforce this.  On larger lattices the
+neighbour recurrence can under-estimate when a non-adjacent constraint
+binds.
 
 Note that per-axis monotonicity does not guarantee implementability: an
 anti-diagonal type pair (higher theta / lower sigma against the reverse) can
@@ -55,7 +61,6 @@ __all__ = [
     "check_monotone",
     "check_full",
     "check_reduced",
-    "recurrence_utilities",
     "optimal_rewards",
     "minimal_rewards",
     "minimal_reward_oracle",
@@ -63,6 +68,8 @@ __all__ = [
 
 # doubles-scale arithmetic on utilities of magnitude <= 1e3
 SLACK_TOL = 1e-9
+# a relaxation round raises a bound only when it gains more than this
+_RELAX_TOL = SLACK_TOL * 1e-3
 
 
 class InfeasibleMenuError(ValueError):
@@ -86,11 +93,25 @@ class FeasibilityReport:
         return not (self.ir_violations or self.ic_violations or self.monotonicity_violations)
 
 
+def _cross_cost(b, f, grid: TypeGrid) -> np.ndarray:
+    """c_{m,n}(p, q), the :func:`econ.seller_cost` type (m, n) pays for the
+    item (b, f) of cell (p, q), shaped (M, N, *b.shape)."""
+    return seller_cost(b, f, grid.theta[:, None, None, None], grid.sigma[:, None, None])
+
+
+def _lattice_pairs(m_dim: int, n_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Over every ordered type pair [m, n, p, q]: the (M, N, M, N) mask of
+    lattice neighbours, one step apart along either axis or both, and the
+    offset product (p - m)(q - n), negative exactly for incomparable types."""
+    dm = np.arange(m_dim)[None, None, :, None] - np.arange(m_dim)[:, None, None, None]
+    dn = np.arange(n_dim)[None, None, None, :] - np.arange(n_dim)[None, :, None, None]
+    return np.maximum(np.abs(dm), np.abs(dn)) == 1, dm * dn
+
+
 def cross_utility_tensor(menu: ContractMenu, grid: TypeGrid) -> np.ndarray:
     """All V_{m,n}^{p,q} as a (M, N, M, N) tensor indexed [m, n, p, q]."""
     menu.check_dims(grid)
-    return menu.r - seller_cost(menu.b, menu.f, grid.theta[:, None, None, None],
-                                grid.sigma[:, None, None])
+    return menu.r - _cross_cost(menu.b, menu.f, grid)
 
 
 def ic_slack(menu: ContractMenu, grid: TypeGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -161,35 +182,30 @@ def check_reduced(menu: ContractMenu, grid: TypeGrid) -> FeasibilityReport:
     pairs are not ordered by the lattice and no local constraint implies
     them, so dropping any of them loses violations.
     """
-    m_dim, n_dim = menu.shape
-    lowest = np.zeros((m_dim, n_dim), dtype=bool)
+    lowest = np.zeros(menu.shape, dtype=bool)
     lowest[0, 0] = True
-
-    # offsets (p - m, q - n) of every ordered type pair, shape (M, N, M, N)
-    dm = np.arange(m_dim)[None, None, :, None] - np.arange(m_dim)[:, None, None, None]
-    dn = np.arange(n_dim)[None, None, None, :] - np.arange(n_dim)[None, :, None, None]
-    comparable_neighbor = (np.maximum(np.abs(dm), np.abs(dn)) == 1) & (dm * dn >= 0)
-    incomparable = dm * dn < 0
-    return _report(menu, grid, cells=lowest, pairs=comparable_neighbor | incomparable)
+    neighbours, order = _lattice_pairs(*menu.shape)
+    return _report(menu, grid, cells=lowest, pairs=(neighbours & (order >= 0)) | (order < 0))
 
 
-def recurrence_utilities(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
-    """Minimal seller utilities V*_{m,n} for monotone resource grids.
+def optimal_rewards(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
+    """Minimal feasible rewards R* = V* + c_{m,n}(m, n) for monotone resource
+    grids, from the recurrence over lattice neighbours.
 
     V at the lowest type is pinned to zero (binding IR) and every other cell
-    takes the largest local IC lower bound implied by its lattice neighbors,
+    takes the largest local IC lower bound implied by its lattice neighbours,
 
-        V_{m,n} >= V_{p,q} + b_{p,q}^2 (1/theta_p - 1/theta_m)
-                          + f_{p,q}^2 (1/sigma_q - 1/sigma_n),
+        V_{m,n} >= V_{p,q} + c_{p,q}(p, q) - c_{m,n}(p, q),
 
-    swept in lexicographic order until stable.  The chain through the
-    downward diagonal reproduces the closed-form utility recurrence; the
-    remaining adjacent cells must be kept because an anti-diagonal neighbor
-    with large bandwidth and small frequency can bind.  On 2 x 2 lattices all
-    cells are mutually adjacent, so this fixpoint equals the full
-    longest-path solution of :func:`minimal_reward_oracle` exactly.  On
-    larger lattices a non-adjacent constraint can bind and the result is a
-    lower bound; use the oracle there.
+    swept in lexicographic order (Gauss-Seidel) until stable.  The chain
+    through the downward diagonal reproduces the closed-form utility
+    recurrence; the remaining adjacent cells must be kept because an
+    anti-diagonal neighbour with large bandwidth and small frequency can
+    bind.  On 2 x 2 lattices all cells are mutually adjacent, so this
+    fixpoint equals the full longest-path solution of
+    :func:`minimal_reward_oracle`.  On larger lattices a non-adjacent
+    constraint can bind and the result is a lower bound; use the oracle
+    there.
     """
     b_grid = np.asarray(b_grid, dtype=float)
     f_grid = np.asarray(f_grid, dtype=float)
@@ -198,39 +214,22 @@ def recurrence_utilities(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
     if monotone_descents(np.stack([b_grid, f_grid])).any():
         raise NonMonotoneError("resource grids are not nondecreasing along both axes")
 
-    inv_t = 1.0 / grid.theta
-    inv_s = 1.0 / grid.sigma
+    cost = _cross_cost(b_grid, f_grid, grid)
+    own = np.einsum("mnmn->mn", cost)
+    gain = own - cost  # V_{m,n} >= V_{p,q} + gain[m, n, p, q]
+    neighbours, _ = _lattice_pairs(grid.m, grid.n)
     v = np.zeros((grid.m, grid.n))
-    neighbors = [(dm, dn) for dm in (-1, 0, 1) for dn in (-1, 0, 1) if (dm, dn) != (0, 0)]
     for _ in range(grid.m * grid.n + 2):
         changed = False
-        for m in range(grid.m):
-            for n in range(grid.n):
-                bounds = [0.0]
-                for dm, dn in neighbors:
-                    p, q = m + dm, n + dn
-                    if 0 <= p < grid.m and 0 <= q < grid.n:
-                        bounds.append(
-                            v[p, q]
-                            + b_grid[p, q] ** 2 * (inv_t[p] - inv_t[m])
-                            + f_grid[p, q] ** 2 * (inv_s[q] - inv_s[n])
-                        )
-                best = max(bounds)
-                if best > v[m, n] + SLACK_TOL * 1e-3:
-                    v[m, n] = best
-                    changed = True
+        for m, n in np.ndindex(grid.m, grid.n):
+            best = np.max(v + gain[m, n], where=neighbours[m, n], initial=0.0)
+            if best > v[m, n] + _RELAX_TOL:
+                v[m, n] = best
+                changed = True
         if not changed:
-            return v
+            return v + own
     # monotonicity alone does not rule out positive anti-diagonal cycles
     raise InfeasibleMenuError("positive cycle in IC difference constraints")
-
-
-def optimal_rewards(b_grid, f_grid, grid: TypeGrid) -> np.ndarray:
-    """Minimal feasible rewards R* = V* + :func:`econ.seller_cost`."""
-    b_grid = np.asarray(b_grid, dtype=float)
-    f_grid = np.asarray(f_grid, dtype=float)
-    v = recurrence_utilities(b_grid, f_grid, grid)
-    return v + seller_cost(b_grid, f_grid, grid.theta[:, None], grid.sigma)
 
 
 def minimal_rewards(b, f, grid: TypeGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +242,7 @@ def minimal_rewards(b, f, grid: TypeGrid) -> tuple[np.ndarray, np.ndarray]:
 
     so, starting from the IR lower bounds R_{m,n} >= c_{m,n}(m, n), Jacobi
     relaxation over the complete constraint graph converges to the least
-    fixpoint (longest paths, CLRS §24.4).  One seller_cost call prices
+    fixpoint (longest paths, CLRS §24.4).  One cross-cost table prices
     every (type, item, candidate) triple, and every candidate relaxes on
     its own slice of the (MN, MN, C) weights; a candidate still being
     raised after MN + 2 rounds has a positive cycle, i.e. is infeasible.
@@ -259,14 +258,13 @@ def minimal_rewards(b, f, grid: TypeGrid) -> tuple[np.ndarray, np.ndarray]:
     # cells lead and candidates trail, so every array pass runs over C;
     # cost[i, j, c] is what cell i's type pays for cell j's item
     b, f = b.reshape(c, mn).T, f.reshape(c, mn).T
-    cost = seller_cost(b, f, grid.theta[:, None, None, None],
-                       grid.sigma[:, None, None]).reshape(mn, mn, c)
+    cost = _cross_cost(b, f, grid).reshape(mn, mn, c)
     r = np.einsum("iic->ic", cost)  # IR lower bounds, (MN, C)
     # w[i, j, c]: least excess of R_i over R_j; the diagonal is exactly 0
     w = r[:, None] - cost
     for _ in range(mn + 2):
         bound = np.max(r + w, axis=1)
-        up = bound > r + SLACK_TOL * 1e-3
+        up = bound > r + _RELAX_TOL
         if not up.any():
             break
         # a candidate with nothing raised has converged and stays as it is

@@ -199,10 +199,9 @@ def _validate(cfg: ExperimentConfig) -> None:
     for name in ("actor_lr", "critic_lr", "r_max"):
         if not getattr(cfg.training, name) > 0:
             raise ValueError(f"[training] {name} must be > 0")
-    # scalars no scenario type checks
-    for name in ("resolution", "framerate", "bandwidth_unit_hz"):
-        if not getattr(sc, name) > 0:
-            raise ValueError(f"[scenario] {name} must be > 0")
+    # the one scalar no scenario type checks
+    if not sc.bandwidth_unit_hz > 0:
+        raise ValueError("[scenario] bandwidth_unit_hz must be > 0")
     if sc.n_sellers < 1:
         raise ValueError("[scenario] n_sellers must be >= 1")
     for f in fields(sc):
@@ -254,10 +253,14 @@ _PER_TYPE = ("power_dbm", "gain_db", "distance", "s_eff", "mu")
 def _environment(sc: ScenarioConfig, power_dbm, gain_db, d, s_eff, mu):
     """The channel, display and sensitivities of 2-D per-type-pair draws
     named by :data:`_PER_TYPE`."""
-    # element by element: numpy's vectorized pow can differ in the last bits
-    p = np.array([[dbm_to_watts(x) for x in row] for row in power_dbm])
-    g2 = np.array([[db_to_linear(x) for x in row] for row in gain_db])
-    n0 = dbm_to_watts(sc.noise_dbm) * sc.bandwidth_unit_hz  # per bandwidth unit
+    # element by element: numpy's vectorized pow can differ in the last bits.
+    # On numpy scalars a conversion that overflows gives inf, which
+    # ChannelParams rejects, where a Python float would raise OverflowError
+    with np.errstate(over="ignore"):
+        p = np.array([[dbm_to_watts(x) for x in row] for row in power_dbm])
+        g2 = np.array([[db_to_linear(x) for x in row] for row in gain_db])
+        # per bandwidth unit
+        n0 = float(dbm_to_watts(np.float64(sc.noise_dbm))) * sc.bandwidth_unit_hz
     ch = ChannelParams(p=p, g2=g2, n0=n0, c=sc.latency_c, d=d)
     hmd = HMDParams(resolution=sc.resolution, framerate=sc.framerate, s_eff=s_eff, t_th=sc.t_th,
                     zeta1=sc.zeta1, zeta2=sc.zeta2, mu=mu)

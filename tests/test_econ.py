@@ -78,6 +78,19 @@ def test_hmd_params_validation():
         HMDParams(resolution=1.0, framerate=1.0, s_eff=1.0, t_th=1.0, mu=0.0)
     with pytest.raises(ValueError, match="s_eff must be > 0"):
         HMDParams(resolution=1.0, framerate=1.0, s_eff=np.array([1.0, -3.0]), t_th=1.0)
+    with pytest.raises(ValueError, match="resolution must be > 0"):
+        HMDParams(resolution=0.0, framerate=1.0, s_eff=1.0, t_th=1.0)
+    with pytest.raises(ValueError, match="framerate must be > 0"):
+        HMDParams(resolution=1.0, framerate=np.nan, s_eff=1.0, t_th=1.0)
+
+
+def test_channel_params_require_positive_finite_power_gain_noise():
+    ok = dict(p=1.0, g2=np.array([1e-3, 2e-3]), n0=1e-9, c=0.02, d=10.0)
+    ChannelParams(**ok)
+    for name, bad in (("p", 0.0), ("g2", np.array([1e-3, np.inf])), ("n0", np.inf),
+                      ("n0", np.nan)):
+        with pytest.raises(ValueError, match="p, g2 and n0 must be positive and finite"):
+            ChannelParams(**{**ok, name: bad})
 
 
 def test_pt_params_validation():

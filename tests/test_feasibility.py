@@ -205,7 +205,7 @@ def test_oracle_detects_positive_cycle():
         with pytest.raises(fz.InfeasibleMenuError):
             fz.minimal_reward_oracle(b, f, grid)
         with pytest.raises(fz.InfeasibleMenuError):
-            fz.recurrence_utilities(b, f, grid)
+            fz.optimal_rewards(b, f, grid)
 
 
 def test_oracle_shape_validation(rng):
@@ -323,10 +323,59 @@ def test_recurrence_rejects_non_monotone(rng):
     b = np.array([[5.0, 1.0], [2.0, 3.0]])
     f = np.zeros((2, 2))
     with pytest.raises(fz.NonMonotoneError):
-        fz.recurrence_utilities(b, f, grid)
+        fz.optimal_rewards(b, f, grid)
     # a descent along one axis only, with both cross corners in order
     with pytest.raises(fz.NonMonotoneError):
-        fz.recurrence_utilities(np.full((2, 2), 10.0), np.array([[3.0, 3.0], [0.0, 3.0]]), grid)
+        fz.optimal_rewards(np.full((2, 2), 10.0), np.array([[3.0, 3.0], [0.0, 3.0]]), grid)
+
+
+def _inverse_gap_recurrence(b, f, grid):
+    """Reference rewards of the neighbour recurrence priced from inverse
+    gaps, V_{m,n} >= V_{p,q} + b_{p,q}^2 (1/theta_p - 1/theta_m) +
+    f_{p,q}^2 (1/sigma_q - 1/sigma_n), one neighbour at a time in a
+    lexicographic Gauss-Seidel sweep; None when it does not settle."""
+    inv_t, inv_s = 1.0 / grid.theta, 1.0 / grid.sigma
+    v = np.zeros((grid.m, grid.n))
+    for _ in range(grid.m * grid.n + 2):
+        changed = False
+        for m, n in itertools.product(range(grid.m), range(grid.n)):
+            bounds = [0.0]
+            for dm, dn in itertools.product((-1, 0, 1), repeat=2):
+                p, q = m + dm, n + dn
+                if (dm, dn) != (0, 0) and 0 <= p < grid.m and 0 <= q < grid.n:
+                    bounds.append(v[p, q] + b[p, q] ** 2 * (inv_t[p] - inv_t[m])
+                                  + f[p, q] ** 2 * (inv_s[q] - inv_s[n]))
+            if max(bounds) > v[m, n] + fz.SLACK_TOL * 1e-3:
+                v[m, n] = max(bounds)
+                changed = True
+        if not changed:
+            return v + b**2 / grid.theta[:, None] + f**2 / grid.sigma
+    return None
+
+
+def test_recurrence_matches_inverse_gap_reference(rng):
+    # the recurrence prices its bounds from the cross-cost table; the
+    # inverse-gap form is the same arithmetic in another order
+    for shape in LATTICES:
+        verdicts = set()
+        for _ in range(300):
+            grid = make_grid(rng, *shape)
+            b, f = monotone_bf(rng, *shape)
+            want = _inverse_gap_recurrence(b, f, grid)
+            verdicts.add(want is not None)
+            if want is None:
+                with pytest.raises(fz.InfeasibleMenuError):
+                    fz.optimal_rewards(b, f, grid)
+            else:
+                assert np.allclose(fz.optimal_rewards(b, f, grid), want, rtol=1e-12, atol=0), shape
+        assert verdicts == {True, False}, shape
+
+
+def test_recurrence_on_one_cell_lattice_pays_the_own_cost():
+    # no neighbours: V* is 0 and R* is the one type's seller_cost
+    grid = TypeGrid(theta=[40.0], sigma=[70.0], q=np.ones((1, 1)))
+    b, f = np.array([[3.0]]), np.array([[2.0]])
+    assert np.array_equal(fz.optimal_rewards(b, f, grid), seller_cost(b, f, 40.0, 70.0))
 
 
 def test_recurrence_matches_oracle_on_2x2(rng):

@@ -143,6 +143,9 @@ def test_sample_scenario_first_type_mean(rng):
     assert abs(draws.mean() - 55.0) < 3 * se
 
 
+_CHANNEL_RULE = r"\[scenario\] p, g2 and n0 must be positive and finite"
+
+
 @pytest.mark.parametrize("text, match", [
     ("[search]\ngrid_points = 1\n", "grid_points"),
     ("[search]\ngrid_points = 1000\n", "grid_points = 1000 gives more than"),
@@ -189,10 +192,25 @@ def test_sample_scenario_first_type_mean(rng):
     ("[scenario]\ndistance_range = -5, 10\n", r"\[scenario\] c and d must be nonnegative"),
     ("[scenario]\nzeta1 = 0.7\n", r"\[scenario\] zeta1 \+ zeta2 must equal 1"),
     ("[scenario]\nalpha_imm = -1\n", r"\[scenario\] sensitivities must be nonnegative"),
+    # dB values whose conversion to a linear scale overflows to inf
+    ("[scenario]\npower_dbm_range = 4000, 5000\n", _CHANNEL_RULE),
+    ("[scenario]\ngain_db_range = 3500, 3600\n", _CHANNEL_RULE),
+    ("[scenario]\nnoise_dbm = 4000\n", _CHANNEL_RULE),
 ])
+@pytest.mark.filterwarnings("error")
 def test_load_config_rejects_unusable_values(text, match):
     with pytest.raises(ValueError, match=match):
         load_config(text=text)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_scenario_rejects_overflowing_channel_values():
+    for name, value in (("power_dbm_range", (4000.0, 5000.0)),
+                        ("gain_db_range", (3500.0, 3600.0)), ("noise_dbm", 4000.0)):
+        cfg = ExperimentConfig()
+        setattr(cfg.scenario, name, value)
+        with pytest.raises(ValueError, match="^p, g2 and n0 must be positive and finite$"):
+            sample_scenario(cfg, np.random.default_rng(0))
 
 
 def test_sample_increasing_pair_gives_up_instead_of_hanging():
@@ -466,6 +484,15 @@ def test_cli_negative_seed_exits_2_before_any_output(tmp_path, monkeypatch, caps
         cfgfile.write_text(cfgfile.read_text() + "[run]\nseed = -2\n")
     err = _cli_fails_cleanly(argv, capsys)
     assert err.startswith("error: bad config: seed must be >= 0"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_overflowing_power_exits_2_before_any_output(tmp_path, capsys):
+    cfgfile = _solve_config_file(tmp_path)
+    cfgfile.write_text(cfgfile.read_text() + "[scenario]\npower_dbm_range = 4000, 5000\n")
+    err = _cli_fails_cleanly(
+        ["solve", "--config", str(cfgfile), "--seed", "0", "--out", str(tmp_path / "out")], capsys)
+    assert err.startswith("error: bad config: [scenario] p, g2 and n0 must be positive"), err
     assert not (tmp_path / "out").exists()
 
 
