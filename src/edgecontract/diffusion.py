@@ -23,9 +23,8 @@ from .econ import (
     PTParams,
     SensitivityParams,
     TypeGrid,
-    buyer_value,
+    level_tables,
     pt_expected,
-    seller_cost,
 )
 from .feasibility import ic_slack
 from .nn import AdamState, Mlp, adam_step
@@ -91,7 +90,8 @@ class NoiseSchedule:
 
 @dataclass(frozen=True)
 class ActionBounds:
-    """Box the squashed action vector is mapped into, shared with the solver."""
+    """Box the squashed action vector is mapped into.  Its b and f ranges are
+    the ``[search]`` box, the one :class:`solver.SearchSpec` searches."""
 
     b_min: float = 0.0
     b_max: float = 10.0
@@ -502,32 +502,34 @@ def train(agent: GdmAgent, scenario_fn, seed: int) -> tuple[list[dict], Scenario
     return log, sc
 
 
-def baseline_random(sc: Scenario, bounds: ActionBounds, rng: np.random.Generator) -> tuple[ContractMenu, float]:
-    """Uniform draw in the action box."""
+def baseline_random(sc: Scenario, bounds: ActionBounds, rng: np.random.Generator,
+                    penalty_weight: float = 1.0, violations_only: bool = False) -> tuple[ContractMenu, float]:
+    """Uniform draw in the action box, with its :func:`reward_fn` under the
+    given shaping."""
     ad = action_dim(sc.grid.m, sc.grid.n)
     u = rng.uniform(-1.0, 1.0, size=ad)
     menu = map_action(u, bounds, sc.grid.m, sc.grid.n)
-    r = reward_fn(menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
-    return menu, r
+    return menu, reward_fn(menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt, penalty_weight, violations_only)
 
 
-def baseline_greedy(sc: Scenario, bounds: ActionBounds) -> tuple[ContractMenu, float]:
-    """Per-type independent maximization, IR-priced, IC ignored.
+def baseline_greedy(sc: Scenario, bounds: ActionBounds, penalty_weight: float = 1.0,
+                    violations_only: bool = False) -> tuple[ContractMenu, float]:
+    """Per-type independent maximization, IR-priced, IC ignored, with its
+    :func:`reward_fn` under the given shaping.
 
     For each type pair picks, among :data:`GREEDY_POINTS` levels per axis,
     the (b, f) maximizing :func:`econ.buyer_value` - R with R set to that
-    type's participation bound :func:`econ.seller_cost`; the first best level
-    pair in b-major order wins a tie.
+    type's participation bound :func:`econ.seller_cost`, both read from
+    :func:`econ.level_tables`; the first best level pair in b-major order
+    wins a tie.
     """
     g = sc.grid
     b_levels = np.linspace(bounds.b_min, bounds.b_max, GREEDY_POINTS)
     f_levels = np.linspace(bounds.f_min, bounds.f_max, GREEDY_POINTS)
+    value, ir = level_tables(b_levels, f_levels, g, sc.ch, sc.hmd, sc.sens)
     # every level pair on axis 0, b-major, against every type pair
-    bb, ff = np.meshgrid(b_levels, f_levels, indexing="ij")
-    bb, ff = bb.reshape(-1, 1, 1), ff.reshape(-1, 1, 1)
-    r_ir = seller_cost(bb, ff, g.theta[:, None], g.sigma)
-    score = buyer_value(bb, ff, sc.ch, sc.hmd, sc.sens) - r_ir
-    k = np.argmax(score, axis=0)  # (M, N) level-pair index per type pair
-    r = np.take_along_axis(r_ir, k[None], axis=0)[0]
-    menu = ContractMenu(b=bb[k, 0, 0], f=ff[k, 0, 0], r=np.minimum(r, bounds.r_max))
-    return menu, reward_fn(menu, g, sc.ch, sc.hmd, sc.sens, sc.pt)
+    k = np.argmax((value - ir).reshape(-1, g.m, g.n), axis=0)  # (M, N) level-pair index
+    b, f = divmod(k, GREEDY_POINTS)
+    r = ir[b, f, np.arange(g.m)[:, None], np.arange(g.n)]
+    menu = ContractMenu(b=b_levels[b], f=f_levels[f], r=np.minimum(r, bounds.r_max))
+    return menu, reward_fn(menu, g, sc.ch, sc.hmd, sc.sens, sc.pt, penalty_weight, violations_only)

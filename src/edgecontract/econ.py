@@ -26,6 +26,7 @@ __all__ = [
     "latency",
     "buyer_value",
     "seller_cost",
+    "level_tables",
     "eut_expected",
     "prob_weight",
     "pt_value",
@@ -55,8 +56,11 @@ class TypeGrid:
 
     ``theta`` divides the squared-bandwidth cost, ``sigma`` divides the
     squared-CPU-frequency cost, and ``q`` is the joint probability mass over
-    type pairs.  Both type vectors must be strictly increasing so that the
-    inverse-gap vectors used by the utility recurrence stay positive.
+    type pairs.  Both type vectors must be strictly increasing, so that a
+    higher index is a strictly cheaper type on its axis: the lattice order
+    is then the cost order that a monotone menu follows, and that
+    :func:`feasibility.check_reduced` and the neighbour recurrence rely on
+    when they keep only the constraints between lattice neighbours.
     """
 
     theta: np.ndarray
@@ -252,6 +256,21 @@ def seller_cost(b, f, theta, sigma) -> np.ndarray:
     (theta, sigma), b^2/theta + f^2/sigma, elementwise under broadcasting; a
     seller utility is the reward R minus this."""
     return np.square(b) / theta + np.square(f) / sigma
+
+
+def level_tables(b_levels, f_levels, grid, ch, hmd, sens) -> tuple[np.ndarray, np.ndarray]:
+    """Every value a cell can take when b and f take only the given levels:
+    ``(value, ir)``, two (b level, f level, M, N) tables of
+    :func:`buyer_value` and of each type's IR reward :func:`seller_cost`.
+
+    ``value - ir`` is a type's buyer utility at its IR reward; its maximum
+    over the levels is the complete-information first-best of that type.
+    ``value`` is a read-only broadcast view.
+    """
+    b = np.asarray(b_levels, dtype=float)[:, None, None, None]
+    f = np.asarray(f_levels, dtype=float)[:, None, None]
+    ir = seller_cost(b, f, grid.theta[:, None], grid.sigma)
+    return np.broadcast_to(buyer_value(b, f, ch, hmd, sens), ir.shape), ir
 
 
 def eut_expected(menu, grid, ch, hmd, sens) -> float:

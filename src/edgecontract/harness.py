@@ -21,7 +21,6 @@ from .diffusion import (
     baseline_greedy,
     baseline_random,
     generate,
-    reward_fn,
     train,
 )
 from .econ import ContractMenu, pt_expected
@@ -170,12 +169,10 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     _write_menu(out / "train_menu.csv", record.menu)
 
     # the baselines are scored with the run's own reward shaping
-    t = cfg.training
+    shaping = cfg.training.penalty_weight, cfg.training.violations_only
     rng = np.random.default_rng((cfg.seed, _BASELINE_TAG))
-    r_rand, r_greedy = (
-        reward_fn(menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt, t.penalty_weight, t.violations_only)
-        for menu, _ in (baseline_random(sc, cfg.bounds(), rng), baseline_greedy(sc, cfg.bounds()))
-    )
+    _, r_rand = baseline_random(sc, cfg.bounds(), rng, *shaping)
+    _, r_greedy = baseline_greedy(sc, cfg.bounds(), *shaping)
     report = feasibility.check_full(record.menu, sc.grid)
     u_pt = pt_expected(record.menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt)
     counts = _violation_counts(report)

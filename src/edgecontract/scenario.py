@@ -25,8 +25,9 @@ from .econ import (
     TypeGrid,
     db_to_linear,
     dbm_to_watts,
+    level_tables,
 )
-from .solver import MAX_GRIDS, SearchSpec, monotone_grid_count
+from .solver import MIN_STEP, SearchSpec, check_grid_count
 
 __all__ = ["ExperimentConfig", "sample_scenario", "load_config", "config_hash"]
 
@@ -165,7 +166,23 @@ def load_config(path: str | None = None, text: str | None = None) -> ExperimentC
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    """Reject values the commands cannot run with, before any work starts."""
+    """Reject values the commands cannot run with, before any work starts.
+
+    Each value is checked on its own, and then the model on the whole
+    search box: the buyer's value and the IR rewards
+    (:func:`econ.level_tables`) at the box's corners, at the ends of every
+    ``[scenario]`` range, must be finite with no floating-point error
+    (underflow aside, which numpy does not report at run time either).  The
+    corners bound every point inside: the rate and the log rendering gain
+    increase in b and f, latency is linear in b and the cost is quadratic
+    in each.  Two intermediates are extreme just above the low ends
+    instead: the rate's ``p*g2/(n0*b)``, and the gain's argument, which
+    tends to 0 with b and f (``immersion`` takes its log at b = 0 too).  So
+    each axis also takes the smallest value above its low end that a search
+    visits, :data:`solver.MIN_STEP` of its range above it.  The check does
+    not cover ``[pt]``: the prospect-theory transform of a utility can
+    still overflow (a huge ``kappa``), and no check here applies it.
+    """
     for section in _SECTIONS:
         obj = getattr(cfg, section)
         for f in fields(obj):
@@ -184,9 +201,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     if (sc.m, sc.n) != (2, 2):
         raise ValueError("[scenario] m and n must be 2: sampling is defined for 2x2 type grids")
     # solve_grid enumerates every monotone grid of each axis up front
-    if monotone_grid_count(cfg.search.grid_points, sc.m, sc.n) > MAX_GRIDS:
-        raise ValueError(f"[search] grid_points = {cfg.search.grid_points} gives more than {MAX_GRIDS} "
-                         f"monotone grids per axis on the {sc.m}x{sc.n} lattice")
+    try:
+        check_grid_count(cfg.search.grid_points, sc.m, sc.n)
+    except ValueError as exc:
+        raise ValueError(f"[search] {exc}") from None
     for name, low in (("episodes", 1), ("steps", 1), ("batch_size", 1), ("buffer_capacity", 1),
                       ("hidden_width", 1), ("hidden_layers", 0)):
         if getattr(cfg.training, name) < low:
@@ -218,9 +236,18 @@ def _validate(cfg: ExperimentConfig) -> None:
     # value is monotone in it, so the types built at the ends (the lowest
     # first type below the highest second) check every draw
     try:
-        TypeGrid(theta=(sc.theta1_range[0], sc.theta2_range[1]),
-                 sigma=(sc.sigma1_range[0], sc.sigma2_range[1]), q=np.full((2, 2), 0.25))
-        _environment(sc, *(np.array([getattr(sc, f"{name}_range")]) for name in _PER_TYPE))
+        grid = TypeGrid(theta=(sc.theta1_range[0], sc.theta2_range[1]),
+                        sigma=(sc.sigma1_range[0], sc.sigma2_range[1]), q=np.full((2, 2), 0.25))
+        env = _environment(sc, *(np.array([getattr(sc, f"{name}_range")]) for name in _PER_TYPE))
+        box = cfg.search
+        levels = ([lo, lo + MIN_STEP * (hi - lo), hi]
+                  for lo, hi in ((box.b_min, box.b_max), (box.f_min, box.f_max)))
+        with np.errstate(all="raise", under="ignore"):
+            value, ir = level_tables(*levels, grid, *env)
+            if not np.all(np.isfinite(value - ir)):
+                raise FloatingPointError("a utility is not finite")
+    except FloatingPointError as exc:
+        raise ValueError(f"[scenario] the model fails on the search box: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"[scenario] {exc}") from None
 

@@ -13,9 +13,9 @@ one batched route, :func:`feasibility.minimal_rewards` then, on the
 feasible rows, :func:`econ.pt_score` of ``value - r``, where ``value`` is
 the buyer's R-free value ``alpha*immersion - beta*latency``
 (:func:`econ.buyer_value`).  A grid candidate's b and f take only
-``grid_points`` levels per cell, so :func:`solve_grid` evaluates
-``buyer_value`` once per scenario on the (b level, f level, M, N) table and
-reads every candidate's values, and every bound, from it; the pattern
+``grid_points`` levels per cell, so :func:`solve_grid` builds the (b level,
+f level, M, N) tables of :func:`econ.level_tables` once per scenario and
+reads every candidate's values, and every bound, from them; the pattern
 search's probes are off the levels and get theirs from ``buyer_value``.
 
 * :func:`solve_grid` is a best-first branch and bound (Land & Doig 1960)
@@ -23,7 +23,7 @@ search's probes are off the levels and get theirs from ``buyer_value``.
   :func:`econ.seller_cost`, ``pt_value`` is nondecreasing and the weights
   are nonnegative, so scoring a b-grid at the IR rewards with, cell by cell,
   its best f level bounds every candidate that shares the b-grid; the
-  table's utilities at the IR rewards, maximised over f levels, give every
+  tables' utilities at the IR rewards, maximised over f levels, give every
   b-grid's bound in one gather and one :func:`econ.pt_score`.  b-grids
   are visited in descending bound order until a bound falls strictly below
   the incumbent; ties go to the lower b-major, f-minor index.  The first
@@ -52,8 +52,8 @@ from .econ import (
     SensitivityParams,
     TypeGrid,
     buyer_value,
+    level_tables,
     pt_score,
-    seller_cost,
 )
 from .feasibility import minimal_rewards, monotone_descents
 
@@ -62,7 +62,7 @@ from .econ import pt_expected  # noqa: F401
 from .feasibility import minimal_reward_oracle, optimal_rewards  # noqa: F401
 
 __all__ = ["SearchSpec", "SolveResult", "solve_grid", "refine_local", "monotone_grids",
-           "monotone_grid_count", "MAX_GRIDS"]
+           "monotone_grid_count", "check_grid_count", "MAX_GRIDS", "MIN_STEP"]
 
 # candidates per array pass of solve_grid after the first, which is one
 # b-grid's f-grids (at most CHUNK of them); bounds the memory of a pass: the
@@ -73,6 +73,11 @@ CHUNK = 768
 # the most monotone grids per axis a configured search may enumerate; admits
 # a 3 x 3 lattice at 9 points (259 545 grids) and 4 x 4 at 5 (232 848)
 MAX_GRIDS = 10**6
+
+# refine_local stops halving its step below this fraction of the box's widest
+# side; its steps keep the box's proportions, so no probe moves b or f by
+# less than this fraction of its own range
+MIN_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -125,11 +130,9 @@ def monotone_grids(points: int, m: int, n: int) -> np.ndarray:
     Each grid is a chain of m nondecreasing rows, each row at or above the
     one before it entry by entry, so the enumeration takes m - 1 array
     passes over the rows rather than one per cell.  Raises ``ValueError``,
-    before enumerating, when there are more than :data:`MAX_GRIDS` grids.
+    before enumerating, when :func:`check_grid_count` does.
     """
-    if monotone_grid_count(points, m, n) > MAX_GRIDS:
-        raise ValueError(f"grid_points = {points} gives more than {MAX_GRIDS} "
-                         f"monotone grids on a {m} x {n} lattice")
+    check_grid_count(points, m, n)
     # the nondecreasing rows, in lexicographic order
     rows = np.array(list(itertools.combinations_with_replacement(range(points), n)))
     chains = np.arange(len(rows))[:, None]  # row indices of every grid's rows so far
@@ -150,11 +153,12 @@ def monotone_grid_count(points: int, m: int, n: int) -> int:
     return math.prod(i + j + points - 2 for i, j in cells) // math.prod(i + j - 1 for i, j in cells)
 
 
-def _value_table(b_levels, f_levels, grid, ch, hmd, sens):
-    """(b level, f level, M, N) table of :func:`econ.buyer_value`: every
-    value a grid candidate's cell can take."""
-    value = buyer_value(b_levels[:, None, None, None], f_levels[:, None, None], ch, hmd, sens)
-    return np.broadcast_to(value, (len(b_levels), len(f_levels), grid.m, grid.n))
+def check_grid_count(points: int, m: int, n: int) -> None:
+    """Raise ``ValueError`` when ``points`` levels give more than
+    :data:`MAX_GRIDS` monotone grids per axis on an m x n lattice."""
+    if monotone_grid_count(points, m, n) > MAX_GRIDS:
+        raise ValueError(f"grid_points = {points} gives more than {MAX_GRIDS} "
+                         f"monotone grids per axis on the {m}x{n} lattice")
 
 
 def _complete_and_score(b, f, value, grid, pt):
@@ -172,19 +176,18 @@ def _complete_and_score(b, f, value, grid, pt):
     return r, feasible, obj
 
 
-def _b_grid_bounds(value, b_levels, f_levels, b_idx, grid, pt):
+def _b_grid_bounds(utility, b_idx, grid, pt):
     """An upper bound on the PT objective of every candidate whose b-grid is
-    ``b_levels[b_idx[k]]``, one per k; a NaN bound never prunes.
+    ``b_idx[k]`` in level indices, one per k; a NaN bound never prunes.
 
-    ``value`` is the :func:`_value_table` of the levels.  Each b-grid is
-    scored at the IR rewards with, cell by cell, the f level whose utility
-    is largest there.  The IR rewards are the :func:`econ.seller_cost`
-    values :func:`feasibility.minimal_rewards` starts from, bit for bit, and
-    that function only raises them, so the bound holds in floating point too.
+    ``utility`` is ``value - ir`` of the levels' :func:`econ.level_tables`.
+    Each b-grid is scored at the IR rewards with, cell by cell, the f level
+    whose utility is largest there.  The IR rewards are the
+    :func:`econ.seller_cost` values :func:`feasibility.minimal_rewards`
+    starts from, bit for bit, and that function only raises them, so the
+    bound holds in floating point too.
     """
-    ir = seller_cost(b_levels[:, None, None, None], f_levels[:, None, None],
-                     grid.theta[:, None], grid.sigma)
-    best = (value - ir).max(axis=1)  # (b level, M, N)
+    best = utility.max(axis=1)  # (b level, M, N)
     cells = np.arange(grid.m)[:, None], np.arange(grid.n)
     return pt_score(best[(b_idx, *cells)], grid, pt)
 
@@ -222,8 +225,8 @@ def solve_grid(
     n_f = len(idx)
     total = n_f * n_f
 
-    value = _value_table(b_levels, f_levels, grid, ch, hmd, sens)
-    bound = _b_grid_bounds(value, b_levels, f_levels, idx, grid, pt)
+    value, ir = level_tables(b_levels, f_levels, grid, ch, hmd, sens)
+    bound = _b_grid_bounds(value - ir, idx, grid, pt)
     bound = np.where(np.isnan(bound), np.inf, bound)
     visit = np.argsort(-bound, kind="stable")
     bound = bound[visit]
@@ -267,7 +270,7 @@ def refine_local(
     Each sweep probes a +/- step move on every b entry, then every f entry,
     accepts each move that improves the objective while keeping
     monotonicity and the search box, and after a sweep without a move halves
-    the step, until it falls below 1e-6 of the box or ``refine_iters``
+    the step, until it falls below :data:`MIN_STEP` of the box or ``refine_iters``
     sweeps have run.
 
     From the current point, the probes that loop would run if nothing
@@ -285,7 +288,7 @@ def refine_local(
     lo = np.array([spec.b_range[0], spec.f_range[0]])[:, None, None]
     hi = np.array([spec.b_range[1], spec.f_range[1]])[:, None, None]
     step = (hi - lo).ravel() / max(spec.grid_points - 1, 1)
-    min_step = 1e-6 * np.max(hi - lo)
+    min_step = MIN_STEP * np.max(hi - lo)
     best_obj, best_r = result.objective, result.menu.r
     evals = result.evaluations
 

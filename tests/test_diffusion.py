@@ -412,6 +412,15 @@ def test_baselines_stay_in_box(rng):
         assert np.all(menu.r >= 0) and np.all(menu.r <= bounds.r_max)
 
 
+def test_baselines_score_with_the_shaping_they_are_given(rng):
+    sc = _scenario(rng)
+    bounds = df.ActionBounds()
+    draw = np.random.default_rng(7)
+    for menu, reward in (df.baseline_random(sc, bounds, draw, 0.5, True),
+                         df.baseline_greedy(sc, bounds, 0.5, True)):
+        assert reward == df.reward_fn(menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt, 0.5, True)
+
+
 def test_baseline_greedy_deterministic(rng):
     sc = _scenario(rng)
     m1, r1 = df.baseline_greedy(sc, df.ActionBounds())

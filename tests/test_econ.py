@@ -18,6 +18,7 @@ from edgecontract.econ import (
     eut_expected,
     immersion,
     latency,
+    level_tables,
     prob_weight,
     pt_expected,
     pt_score,
@@ -142,6 +143,25 @@ def test_seller_cost_is_the_float_formula_exactly(rng):
             assert own[m, n] == expect
     menu = ContractMenu(b=b, f=f, r=np.zeros((2, 3)))
     assert np.array_equal(cross_utility_tensor(menu, grid), -cross)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3)], ids=lambda s: "%dx%d" % s)
+def test_level_tables_equal_per_cell_scalar_calls(rng, shape):
+    # per-type-pair channel and display values, each cell priced on its own
+    # scalars; the levels include b = 0, where the rate's limit is taken
+    grid = make_grid(rng, *shape)
+    ch = simple_channel(d=rng.uniform(10.0, 80.0, shape))
+    hmd = simple_hmd(s_eff=rng.uniform(1.5, 3.0, shape), mu=rng.uniform(0.2, 1.0, shape))
+    sens = simple_sens()
+    b_levels, f_levels = np.linspace(0.0, 10.0, 4), np.linspace(0.5, 3.0, 3)
+    value, ir = level_tables(b_levels, f_levels, grid, ch, hmd, sens)
+    assert value.shape == ir.shape == (4, 3, *shape)
+    for i, j, m, n in np.ndindex(value.shape):
+        cell_ch = simple_channel(d=float(ch.d[m, n]))
+        cell_hmd = simple_hmd(s_eff=float(hmd.s_eff[m, n]), mu=float(hmd.mu[m, n]))
+        b, f = float(b_levels[i]), float(f_levels[j])
+        assert value[i, j, m, n] == buyer_value(b, f, cell_ch, cell_hmd, sens)
+        assert ir[i, j, m, n] == seller_cost(b, f, float(grid.theta[m]), float(grid.sigma[n]))
 
 
 # -- channel and rendering --------------------------------------------------

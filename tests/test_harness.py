@@ -1,9 +1,16 @@
 """Config loading, scenario sampling, experiment commands, and the CLI."""
 
+import contextlib
+import io
+import tempfile
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgecontract import cli, harness, solver
 from edgecontract import diffusion as df
@@ -12,6 +19,8 @@ from edgecontract.econ import ContractMenu, pt_expected
 from edgecontract.harness import RunRecord
 from edgecontract.scenario import (
     ExperimentConfig,
+    ScenarioConfig,
+    SearchConfig,
     canonical_serialization,
     config_hash,
     _sample_increasing_pair,
@@ -494,6 +503,73 @@ def test_cli_overflowing_power_exits_2_before_any_output(tmp_path, capsys):
         ["solve", "--config", str(cfgfile), "--seed", "0", "--out", str(tmp_path / "out")], capsys)
     assert err.startswith("error: bad config: [scenario] p, g2 and n0 must be positive"), err
     assert not (tmp_path / "out").exists()
+
+
+# finite values each loading on their own, on which the model overflows or
+# goes NaN somewhere on the search box
+_BOX_OVERFLOWS = ["resolution = 1e308", "framerate = 1e308", "alpha_imm = 1e308",
+                  "beta_lat = 1e308", "latency_c = 1e308", "t_th = 1e-308",
+                  "bandwidth_unit_hz = 1e-308"]
+
+
+@pytest.mark.parametrize("line", _BOX_OVERFLOWS)
+@pytest.mark.filterwarnings("error")
+def test_cli_model_overflow_on_the_search_box_exits_2_at_load(tmp_path, capsys, line):
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text(f"[scenario]\n{line}\n")
+    out = tmp_path / "out"
+    err = _cli_fails_cleanly(["solve", "--config", str(cfgfile), "--seed", "0", "--out", str(out)],
+                             capsys)
+    assert err.startswith("error: bad config: [scenario] "), err
+    assert not (out / "solve_summary.csv").exists()
+
+
+def test_grid_count_rule_is_the_solvers():
+    with pytest.raises(ValueError) as solver_err:
+        solver.check_grid_count(58, 2, 2)
+    with pytest.raises(ValueError) as load_err:
+        load_config(text="[search]\ngrid_points = 58\n")
+    assert str(load_err.value) == f"[search] {solver_err.value}"
+
+
+# every float and range key of [scenario] and [search], with its default
+_BOX_KEYS = [(section, f.name, getattr(default, f.name))
+             for section, default in (("scenario", ScenarioConfig()), ("search", SearchConfig()))
+             for f in fields(default) if isinstance(getattr(default, f.name), (float, tuple))]
+_EXTREMES = ["1e308", "-1e308", "1e-308", "-1e-308", "0", "-0.0", "5e-324", "1e300", "1e-300",
+             "1" + "0" * 29]
+
+
+def _extreme_config(draws) -> str:
+    """Config text setting each drawn key to an extreme value: a range's low
+    end (0), high end (1) or both (None)."""
+    lines = {}
+    for (section, key, default), value, end in draws:
+        if isinstance(default, tuple):
+            value = ", ".join(value if end in (None, i) else repr(x) for i, x in enumerate(default))
+        lines.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{section}]\n" + "\n".join(keys) + "\n" for section, keys in lines.items())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_BOX_KEYS), st.sampled_from(_EXTREMES),
+                          st.sampled_from([0, 1, None])),
+                min_size=1, max_size=3, unique_by=lambda d: d[0][:2]))
+def test_cli_solve_on_extreme_box_values_runs_cleanly_or_exits(draws):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgfile, out = Path(tmp) / "cfg.ini", Path(tmp) / "out"
+        cfgfile.write_text(_extreme_config(draws))
+        err = io.StringIO()
+        # a numpy warning raises here, so a run that warns fails the test
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["solve", "--config", str(cfgfile), "--seed", "0", "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        assert err.getvalue().count("\n") <= 1, err.getvalue()
+        if code == 0:
+            row = (out / "solve_summary.csv").read_text().splitlines()[1].split(",")
+            assert np.isfinite(float(row[2])), row
 
 
 def test_screening_config_menus_screen_the_types(tmp_path):

@@ -249,8 +249,8 @@ def test_b_grid_bound_covers_every_candidate_sharing_it(rng, shape, points):
             simple_sens(),
             pt,
         )
-        value = solver._value_table(b_levels, f_levels, *args[:4])
-        bound = solver._b_grid_bounds(value, b_levels, f_levels, b_idx, grid, pt)
+        value, ir = econ.level_tables(b_levels, f_levels, *args[:4])
+        bound = solver._b_grid_bounds(value - ir, b_idx, grid, pt)
         assert bound.shape == (len(b_idx),) and np.all(np.isfinite(bound))
         scored = 0
         for i, b in enumerate(b_levels[b_idx]):
