@@ -9,23 +9,3 @@ Subpackages:
 * :mod:`edgecontract.diffusion` — denoising-diffusion contract policy
 * :mod:`edgecontract.scenario` / :mod:`edgecontract.harness` — experiments
 """
-
-from .econ import (
-    ChannelParams,
-    ContractMenu,
-    HMDParams,
-    PTParams,
-    SensitivityParams,
-    TypeGrid,
-)
-
-__all__ = [
-    "TypeGrid",
-    "ContractMenu",
-    "ChannelParams",
-    "HMDParams",
-    "SensitivityParams",
-    "PTParams",
-]
-
-__version__ = "0.1.0"

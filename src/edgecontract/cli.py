@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -44,17 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    env_seed = os.environ.get("EDGECONTRACT_SEED")
     try:
         cfg = load_config(path=str(args.config) if args.config else None)
         if args.seed is not None:
             cfg.seed = args.seed
-        elif env_seed is not None:
-            try:
-                cfg.seed = int(env_seed)
-            except ValueError:
-                raise ValueError(f"EDGECONTRACT_SEED={env_seed!r} is not an integer") from None
-        # from --seed, EDGECONTRACT_SEED or [run] seed
+        # from --seed or [run] seed
         if cfg.seed < 0:
             raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     except (ValueError, FileNotFoundError) as exc:

@@ -226,18 +226,11 @@ class GdmAgent:
     computes is a fresh array.
     """
 
-    def __init__(
-        self,
-        m: int,
-        n: int,
-        bounds: ActionBounds,
-        hp: GdmHyperparams | None = None,
-        seed: int = 0,
-    ):
+    def __init__(self, m: int, n: int, bounds: ActionBounds, hp: GdmHyperparams, seed: int):
         self.m = m
         self.n = n
         self.bounds = bounds
-        self.hp = hp or GdmHyperparams()
+        self.hp = hp
         self.schedule = self.hp.schedule()
         rng = np.random.default_rng(seed)
 
@@ -396,7 +389,7 @@ def actor_gradient(agent: GdmAgent, s_batch: np.ndarray, rng: np.random.Generato
     """Loss -mean Q1(s, policy(s)) and its gradient w.r.t. actor parameters.
 
     The gradient flows backward through the squash and every step of the
-    reparameterized denoise chain; with ``varpi > 0`` an extra term
+    reparameterized denoise chain; an extra term of weight ``varpi``
     discourages saturated actions (a crude stand-in for the intractable
     policy entropy).  Returns ``(loss, grad)`` with ``grad`` aligned with
     ``agent.actor.params`` and pointing in the descent direction of the
@@ -411,9 +404,7 @@ def actor_gradient(agent: GdmAgent, s_batch: np.ndarray, rng: np.random.Generato
     loss = -float(np.mean(q[:, 0]))
 
     _, sa_grad = agent.critic1.grads(tape, np.full((batch_size, 1), 1.0 / batch_size), wrt="input")
-    du = sa_grad[:, sd:]
-    if agent.hp.varpi > 0:
-        du = du - u * (agent.hp.varpi * 2.0) / batch_size
+    du = sa_grad[:, sd:] - u * (agent.hp.varpi * 2.0) / batch_size
     g = du * np.maximum(1.0 - np.square(u), agent.hp.tanh_grad_floor)  # through tanh
 
     total = np.zeros_like(agent.actor.params)

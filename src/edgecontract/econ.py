@@ -212,8 +212,10 @@ def downlink_rate(b, ch: ChannelParams) -> np.ndarray:
     """Downlink rate b*ln(1 + p*g2/(b*n0)), with the b -> 0 limit taken as 0."""
     b = _as_array(b)
     snr_num = ch.p * ch.g2 / ch.n0
-    safe_b = np.where(b > 0, b, 1.0)
-    return np.where(b > 0, b * np.log1p(snr_num / safe_b), 0.0)
+    pos_b = b > 0
+    rate = np.divide(snr_num, b, out=np.zeros(np.broadcast(snr_num, b).shape), where=pos_b)
+    np.log1p(rate, out=rate, where=pos_b)
+    return np.multiply(b, rate, out=rate, where=pos_b)
 
 
 def immersion(b, f, ch: ChannelParams, hmd: HMDParams) -> np.ndarray:
@@ -221,8 +223,8 @@ def immersion(b, f, ch: ChannelParams, hmd: HMDParams) -> np.ndarray:
     ln(Dv(z1*S*b + z2*mu*f^2)/T_th).
 
     Zero bandwidth gives zero immersion regardless of f (the rate factor
-    vanishes), so the rendering-gain domain error is only raised when it is
-    actually needed, i.e. for b > 0.
+    vanishes), so the rendering gain is taken, and its domain error raised,
+    only where b > 0.
     """
     b = _as_array(b)
     f = _as_array(f)
@@ -235,7 +237,8 @@ def immersion(b, f, ch: ChannelParams, hmd: HMDParams) -> np.ndarray:
     pos_b = np.broadcast_to(b > 0, arg.shape)
     if np.any(pos_b & (arg <= 0)):
         raise ValueError("rendering argument must be positive (b and f cannot both be 0)")
-    gain = np.where(pos_b, np.log(np.where(arg > 0, arg, 1.0) / hmd.t_th), 0.0)
+    gain = np.divide(arg, hmd.t_th, out=np.zeros(arg.shape), where=pos_b)
+    np.log(gain, out=gain, where=pos_b)
     return rate * gain
 
 
@@ -296,7 +299,11 @@ def pt_value(u, pt: PTParams) -> np.ndarray:
     # NaN fails d < 0, so it takes the gain branch and stays NaN
     d = u - pt.u_ref
     dist = np.abs(d)
-    return np.where(d < 0, -pt.kappa * dist**pt.delta_minus, dist**pt.delta_plus)
+    loss = d < 0
+    # both powers of a finite distance are finite, as both exponents lie in
+    # (0, 1]; kappa's scaling can overflow, so it is applied to losses alone
+    value = np.where(loss, dist**pt.delta_minus, dist**pt.delta_plus)
+    return np.multiply(value, np.where(loss, -pt.kappa, 1.0), out=value)
 
 
 def pt_weights(grid: TypeGrid, pt: PTParams) -> np.ndarray:

@@ -187,6 +187,10 @@ class Mlp:
         return net
 
 
+# Adam's first and second moment decay rates and its denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators for one parameter vector."""
@@ -194,9 +198,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_net(cls, net: Mlp) -> "AdamState":
@@ -212,15 +213,14 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     parameter-sized temporaries are alive at once.
     """
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    state.m *= b1
-    state.m += grads * (1 - b1)
-    state.v *= b2
-    state.v += grads * (1 - b2) * grads
-    step = state.m / (1 - b1**state.t)  # m_hat
-    denom = state.v / (1 - b2**state.t)  # v_hat
+    state.m *= BETA1
+    state.m += grads * (1 - BETA1)
+    state.v *= BETA2
+    state.v += grads * (1 - BETA2) * grads
+    step = state.m / (1 - BETA1**state.t)  # m_hat
+    denom = state.v / (1 - BETA2**state.t)  # v_hat
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += EPS
     step *= lr
     step /= denom
     params -= step

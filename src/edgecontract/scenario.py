@@ -26,6 +26,7 @@ from .econ import (
     db_to_linear,
     dbm_to_watts,
     level_tables,
+    pt_score,
 )
 from .solver import MIN_STEP, SearchSpec, check_grid_count
 
@@ -177,11 +178,21 @@ def _validate(cfg: ExperimentConfig) -> None:
     increase in b and f, latency is linear in b and the cost is quadratic
     in each.  Two intermediates are extreme just above the low ends
     instead: the rate's ``p*g2/(n0*b)``, and the gain's argument, which
-    tends to 0 with b and f (``immersion`` takes its log at b = 0 too).  So
-    each axis also takes the smallest value above its low end that a search
-    visits, :data:`solver.MIN_STEP` of its range above it.  The check does
-    not cover ``[pt]``: the prospect-theory transform of a utility can
-    still overflow (a huge ``kappa``), and no check here applies it.
+    tends to 0 with b and f.  So each axis also takes the smallest value
+    above its low end that a search visits, :data:`solver.MIN_STEP` of its
+    range above it.
+
+    Last, ``[pt]``'s transform (:func:`econ.pt_score`) must be finite with
+    no floating-point error at the highest and the lowest utility a command
+    can form on the box.  Every reward is at least 0 and at most the larger
+    of ``r_max`` (a trained or random menu) and M*N times the largest IR
+    reward: a minimal reward is a longest path of at most M*N - 1 IC edges,
+    each weighing at most one seller cost, from an IR start that is a
+    seller cost.  So a utility lies between the smallest buyer value less
+    that bound and the largest buyer value, and as :func:`econ.pt_value` is
+    monotone, the two ends bound every PT value.  The weights are taken at
+    two draws of the 2x2 sampler, one with its smallest cell probability
+    (0.5/3.5) and one with its largest (1/2.5).
     """
     for section in _SECTIONS:
         obj = getattr(cfg, section)
@@ -250,6 +261,15 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValueError(f"[scenario] the model fails on the search box: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"[scenario] {exc}") from None
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            top_reward = max(cfg.training.r_max, sc.m * sc.n * ir.max())
+            ends = np.array([value.max(), value.min() - top_reward])[:, None, None]
+            for q in ([[0.5, 1.0], [1.0, 1.0]], [[1.0, 0.5], [0.5, 0.5]]):
+                draw = TypeGrid(theta=grid.theta, sigma=grid.sigma, q=np.array(q) / np.sum(q))
+                pt_score(ends, draw, cfg.pt.to_params())
+    except FloatingPointError as exc:
+        raise ValueError(f"[pt] the transform fails on the search box's utilities: {exc}") from None
 
 
 def canonical_serialization(cfg: ExperimentConfig) -> str:

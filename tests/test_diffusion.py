@@ -545,13 +545,15 @@ def test_denoise_chain_state_survives_a_later_chain(rng):
 
 
 def test_actor_gradient_matches_allocating_reference(rng):
-    agent = _small_agent(seed=10, varpi=0.2, tanh_grad_floor=0.1)
-    for i in range(3):
-        s = rng.standard_normal((8, df.state_dim(2, 2)))
-        loss, grad = df.actor_gradient(agent, s, np.random.default_rng(i))
-        loss_ref, grad_ref = _reference_actor_gradient(agent, s, np.random.default_rng(i))
-        assert loss == loss_ref and np.array_equal(grad, grad_ref)
-        df.actor_update(agent, (s,), np.random.default_rng(i))
+    # the reference adds the varpi term only when varpi > 0
+    for varpi in (0.0, 0.2):
+        agent = _small_agent(seed=10, varpi=varpi, tanh_grad_floor=0.1)
+        for i in range(3):
+            s = rng.standard_normal((8, df.state_dim(2, 2)))
+            loss, grad = df.actor_gradient(agent, s, np.random.default_rng(i))
+            loss_ref, grad_ref = _reference_actor_gradient(agent, s, np.random.default_rng(i))
+            assert loss == loss_ref and np.array_equal(grad, grad_ref)
+            df.actor_update(agent, (s,), np.random.default_rng(i))
 
 
 def test_critic_update_equals_two_independent_critics(rng):

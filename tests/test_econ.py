@@ -194,6 +194,17 @@ def test_immersion_zero_bandwidth_is_zero_without_domain_error():
     assert out[0, 0] == 0.0 and np.all(out[np.array([[False, True], [True, True]])] != 0.0)
 
 
+def test_immersion_takes_no_log_at_zero_bandwidth():
+    # at b = 0 this rendering argument over t_th underflows to 0, whose log
+    # would divide by zero; the zero-bandwidth cells never take it
+    ch = simple_channel()
+    hmd = HMDParams(resolution=3e-310, framerate=90.0, s_eff=2.0, t_th=1e6, mu=0.5)
+    b = np.array([[0.0, 1.0], [0.0, 2.0]])
+    with np.errstate(divide="raise"):
+        out = immersion(b, np.full((2, 2), 3e-6), ch, hmd)
+    assert np.all(out[:, 0] == 0.0) and np.all(np.isfinite(out[:, 1]))
+
+
 def test_rendering_gain_formula_value():
     # rendering gain ln(Dv(z1*S*b + z2*mu*f^2)/T_th) is immersion per unit of rate
     ch, hmd = simple_channel(), simple_hmd(s_eff=2.0, mu=0.5)
@@ -278,6 +289,15 @@ def test_pt_value_losses_scale_with_aversion(u, k1, k2):
     lo, hi = sorted((k1, k2))
     base = dict(delta_plus=0.88, delta_minus=0.88, u_ref=10.0)
     assert pt_value(u, PTParams(kappa=hi, **base)) <= pt_value(u, PTParams(kappa=lo, **base))
+
+
+def test_pt_value_takes_no_loss_power_on_gains():
+    # kappa times a loss power above 1 overflows; gains never evaluate it
+    pt = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=1e308, u_ref=10.0)
+    u = np.array([11.5, 30.0, 1e6])
+    with np.errstate(over="raise"):
+        out = pt_value(u, pt)
+    assert np.array_equal(out, (u - 10.0) ** 0.88)
 
 
 def test_pt_value_propagates_nan():

@@ -19,6 +19,7 @@ from edgecontract.econ import ContractMenu, pt_expected
 from edgecontract.harness import RunRecord
 from edgecontract.scenario import (
     ExperimentConfig,
+    PTConfig,
     ScenarioConfig,
     SearchConfig,
     canonical_serialization,
@@ -411,22 +412,15 @@ def test_cli_seed_flag_overrides_config(tmp_path):
     assert summary.split(",")[1] == "7"
 
 
-def test_cli_env_seed_used_when_no_flag(tmp_path, monkeypatch):
+def test_cli_env_seed_is_ignored(tmp_path, monkeypatch):
+    # a run's seed comes from --seed or [run] seed, never the environment
     cfgfile = _solve_config_file(tmp_path)
+    cfgfile.write_text(cfgfile.read_text() + "[run]\nseed = 5\n")
     out = tmp_path / "out"
     monkeypatch.setenv("EDGECONTRACT_SEED", "13")
     assert cli.main(["solve", "--config", str(cfgfile), "--out", str(out)]) == 0
     summary = (out / "solve_summary.csv").read_text().splitlines()[1]
-    assert summary.split(",")[1] == "13"
-
-
-def test_cli_seed_flag_beats_env(tmp_path, monkeypatch):
-    cfgfile = _solve_config_file(tmp_path)
-    out = tmp_path / "out"
-    monkeypatch.setenv("EDGECONTRACT_SEED", "13")
-    assert cli.main(["solve", "--config", str(cfgfile), "--seed", "4", "--out", str(out)]) == 0
-    summary = (out / "solve_summary.csv").read_text().splitlines()[1]
-    assert summary.split(",")[1] == "4"
+    assert summary.split(",")[1] == "5"
 
 
 @pytest.mark.parametrize("param", sorted(harness.SWEEPS))
@@ -476,19 +470,12 @@ def test_cli_train_out_at_regular_file_exits_2_before_training(tmp_path, capsys,
     _cli_fails_cleanly(["train", "--config", str(cfgfile)], capsys)
 
 
-def test_cli_non_integer_env_seed_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("EDGECONTRACT_SEED", "abc")
-    _cli_fails_cleanly(["solve", "--config", str(_solve_config_file(tmp_path))], capsys)
-
-
-@pytest.mark.parametrize("source", ["flag", "env", "config"])
-def test_cli_negative_seed_exits_2_before_any_output(tmp_path, monkeypatch, capsys, source):
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_negative_seed_exits_2_before_any_output(tmp_path, capsys, source):
     cfgfile = _solve_config_file(tmp_path)
     argv = ["solve", "--config", str(cfgfile), "--out", str(tmp_path / "out")]
     if source == "flag":
         argv += ["--seed", "-1"]
-    elif source == "env":
-        monkeypatch.setenv("EDGECONTRACT_SEED", "-3")
     else:
         cfgfile.write_text(cfgfile.read_text() + "[run]\nseed = -2\n")
     err = _cli_fails_cleanly(argv, capsys)
@@ -524,6 +511,21 @@ def test_cli_model_overflow_on_the_search_box_exits_2_at_load(tmp_path, capsys, 
     assert not (out / "solve_summary.csv").exists()
 
 
+@pytest.mark.parametrize("text", ["kappa = 1e308", "use_weighting = true\nweight_coeff = 1e300"])
+@pytest.mark.parametrize("command", ["solve", "train"])
+@pytest.mark.filterwarnings("error")
+def test_cli_pt_overflow_on_the_search_box_exits_2_at_load(tmp_path, capsys, command, text):
+    # the loss power times kappa, or the weight's power, overflows on the
+    # utilities the box forms
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text(f"[pt]\n{text}\n")
+    out = tmp_path / "out"
+    err = _cli_fails_cleanly([command, "--config", str(cfgfile), "--seed", "0", "--out", str(out)],
+                             capsys)
+    assert err.startswith("error: bad config: [pt] "), err
+    assert not out.exists()
+
+
 def test_grid_count_rule_is_the_solvers():
     with pytest.raises(ValueError) as solver_err:
         solver.check_grid_count(58, 2, 2)
@@ -532,20 +534,25 @@ def test_grid_count_rule_is_the_solvers():
     assert str(load_err.value) == f"[search] {solver_err.value}"
 
 
-# every float and range key of [scenario] and [search], with its default
+# every float and range key of [scenario] and [search], and every [pt] key,
+# with its default
 _BOX_KEYS = [(section, f.name, getattr(default, f.name))
-             for section, default in (("scenario", ScenarioConfig()), ("search", SearchConfig()))
-             for f in fields(default) if isinstance(getattr(default, f.name), (float, tuple))]
+             for section, default in (("scenario", ScenarioConfig()), ("search", SearchConfig()),
+                                      ("pt", PTConfig()))
+             for f in fields(default) if isinstance(getattr(default, f.name), (bool, float, tuple))]
 _EXTREMES = ["1e308", "-1e308", "1e-308", "-1e-308", "0", "-0.0", "5e-324", "1e300", "1e-300",
              "1" + "0" * 29]
 
 
 def _extreme_config(draws) -> str:
     """Config text setting each drawn key to an extreme value: a range's low
-    end (0), high end (1) or both (None)."""
+    end (0), high end (1) or both (None), and a flag whether the value is
+    nonzero."""
     lines = {}
     for (section, key, default), value, end in draws:
-        if isinstance(default, tuple):
+        if isinstance(default, bool):
+            value = str(float(value) != 0).lower()
+        elif isinstance(default, tuple):
             value = ", ".join(value if end in (None, i) else repr(x) for i, x in enumerate(default))
         lines.setdefault(section, []).append(f"{key} = {value}")
     return "".join(f"[{section}]\n" + "\n".join(keys) + "\n" for section, keys in lines.items())
