@@ -358,9 +358,9 @@ class ReplayBuffer:
     def sample(self, batch_size: int, rng: np.random.Generator):
         # with replacement so updates can start before the buffer fills
         idx = rng.integers(0, self.size, size=batch_size)
-        sd, ad = self.state_dim, self.act_dim
-        s, a, r, s_next, done = np.split(self.rows[idx], np.cumsum([sd, ad, 1, sd]), axis=1)
-        return s, a, r[:, 0], s_next, done[:, 0]
+        rows = self.rows[idx]
+        sd, sa = self.state_dim, self.state_dim + self.act_dim
+        return rows[:, :sd], rows[:, sd:sa], rows[:, sa], rows[:, sa + 1 : -1], rows[:, -1]
 
 
 def critic_update(agent: GdmAgent, batch, rng: np.random.Generator) -> tuple[float, float]:
@@ -459,12 +459,13 @@ def train(agent: GdmAgent, scenario_fn, seed: int) -> tuple[list[dict], Scenario
         state_dim=state_dim(agent.m, agent.n),
         act_dim=action_dim(agent.m, agent.n),
     )
+    s = s_next = encode_state(sc)
     for ep in range(hp.episodes):
         for t in range(hp.steps):
             rng = np.random.default_rng((seed, ep, t))
             if hp.resample_each_step:
                 sc = scenario_fn(rng)
-            s = encode_state(sc)
+                s = encode_state(sc)
             frac = ep / (hp.episodes - 1) if hp.episodes > 1 else 1.0
             noise_scale = noise_hi + (noise_lo - noise_hi) * frac
             u = agent.act_batch(s[None, :], rng)[0]
@@ -477,7 +478,7 @@ def train(agent: GdmAgent, scenario_fn, seed: int) -> tuple[list[dict], Scenario
                 raise FloatingPointError(f"non-finite reward at episode {ep} step {t}")
             if hp.resample_each_step:
                 sc = scenario_fn(rng)
-            s_next = encode_state(sc)
+                s_next = encode_state(sc)
             done = t == hp.steps - 1
             buffer.add(s, u, r, s_next, done)
 

@@ -14,12 +14,14 @@ workspaces are its own.  The diffusion agent keeps its twin critics, and
 their targets, as stacks of 2.
 
 Memory.  A network reuses one thing: its forward workspaces, kept per input
-row count.  Each ``slot`` has a tape (per-layer pre-activations and hidden
-activations); forward-only passes (``slot=None``) have one buffer per layer,
-which ``grads`` also uses for its per-layer gradients.  ``apply``'s output
-and ``grads``' results are fresh arrays that the caller owns.  A tape is a
-view of its workspace and stays valid only until the next ``apply`` with the
-same row count and slot.
+row count.  A workspace holds one array per layer, into which ``apply``
+writes the layer's matmul, adds the bias and applies the activation in
+place.  Each ``slot`` has a tape of those layer outputs, from which the
+backward takes the relu mask and the tanh derivative; forward-only passes
+(``slot=None``) have their own workspace, which ``grads`` also uses for its
+per-layer gradients.  ``apply``'s output and ``grads``' results are fresh
+arrays that the caller owns.  A tape is a view of its workspace and stays
+valid only until the next ``apply`` with the same row count and slot.
 """
 
 from __future__ import annotations
@@ -35,14 +37,15 @@ _ACTIVATIONS = ("relu", "tanh", "identity")
 
 @dataclass
 class GradTape:
-    """Per-layer inputs and pre-activations from one forward pass.
+    """Per-layer inputs and outputs from one forward pass.
 
     ``inputs[0]`` is the caller's input; the other arrays belong to the
-    network's workspace.
+    network's workspace, one per layer: ``outputs[i]`` is layer ``i``'s
+    activation and ``inputs[i + 1]`` is the same array.
     """
 
     inputs: list[np.ndarray]
-    preacts: list[np.ndarray]
+    outputs: list[np.ndarray]
     batched: bool
 
 
@@ -105,16 +108,13 @@ class Mlp:
         return Mlp(self.widths, self.activations, params=self.params[i])
 
     def _workspace(self, rows: int, slot: int | None) -> tuple[GradTape | None, list[np.ndarray]]:
-        """The tape of one slot and its per-layer activation buffers; slot
-        None has no tape, computes activations in place and lends its buffers
-        to :meth:`grads`."""
+        """The tape of one slot and its per-layer output buffers; slot None
+        has no tape and lends its buffers to :meth:`grads`."""
         ws = self._tapes.get((rows, slot))
         if ws is None:
-            preacts = [np.empty(self._lead + (rows, d)) for d in self.widths[1:]]
-            acts = preacts if slot is None else [z if a == "identity" else np.empty_like(z)
-                                                 for z, a in zip(preacts, self.activations)]
-            tape = None if slot is None else GradTape([None, *acts[:-1]], preacts, True)
-            ws = self._tapes[(rows, slot)] = (tape, acts)
+            outs = [np.empty(self._lead + (rows, d)) for d in self.widths[1:]]
+            tape = None if slot is None else GradTape([None, *outs[:-1]], outs, True)
+            ws = self._tapes[(rows, slot)] = (tape, outs)
         return ws
 
     def apply(self, x: np.ndarray, slot: int | None = 0) -> tuple[np.ndarray, GradTape | None]:
@@ -132,19 +132,18 @@ class Mlp:
         h = x if batched else x[None, :]
         if h.shape[-1] != self.in_dim:
             raise ValueError(f"expected input width {self.in_dim}, got {h.shape[-1]}")
-        tape, acts = self._workspace(h.shape[-2], slot)
+        tape, outs = self._workspace(h.shape[-2], slot)
         if tape is not None:
             tape.inputs[0] = h
             tape.batched = batched
-        for w, b, z, a, act in zip(self.weights, self._row_biases, tape.preacts if tape else acts, acts,
-                                   self.activations):
-            np.matmul(h, w, out=z)
-            z += b
+        for w, b, out, act in zip(self.weights, self._row_biases, outs, self.activations):
+            np.matmul(h, w, out=out)
+            out += b
             if act == "relu":
-                np.maximum(z, 0.0, out=a)
+                np.maximum(out, 0.0, out=out)
             elif act == "tanh":
-                np.tanh(z, out=a)
-            h = a
+                np.tanh(out, out=out)
+            h = out
         return (h if batched else h[..., 0, :]).copy(), tape
 
     def grads(self, tape: GradTape, upstream: np.ndarray,
@@ -155,24 +154,26 @@ class Mlp:
         ``params`` and summed over the batch, ``dx`` keeps the batch axis of
         the forward input.  ``wrt="params"`` skips the input gradient and
         ``wrt="input"`` the parameter gradient; the skipped one is returned
-        as None.  The per-layer gradients are written to the ``slot=None``
-        buffers of the tape's row count, so no tape is touched.
+        as None.  The relu mask is ``output > 0`` and the tanh derivative
+        ``1 - output**2``, both read off the tape's layer outputs.  The
+        per-layer gradients are written to the ``slot=None`` buffers of the
+        tape's row count, so no tape is touched.
         """
         if wrt not in ("both", "params", "input"):
             raise ValueError(f"unknown wrt {wrt!r}")
         upstream = np.asarray(upstream, dtype=float)
         g = upstream if tape.batched else upstream[..., None, :]
-        _, bufs = self._workspace(tape.preacts[0].shape[-2], None)
+        _, bufs = self._workspace(tape.outputs[0].shape[-2], None)
         grad = None
         if wrt != "input":
             grad = np.empty_like(self.params)
             dws, dbs = self._layer_views(grad)
         for i in reversed(range(len(self.weights))):
-            act, z = self.activations[i], tape.preacts[i]
+            act, out = self.activations[i], tape.outputs[i]
             if act == "relu":
-                g = np.multiply(g, z > 0.0, out=bufs[i])
+                g = np.multiply(g, out > 0.0, out=bufs[i])
             elif act == "tanh":
-                g = np.multiply(g, 1.0 - np.square(np.tanh(z)), out=bufs[i])
+                g = np.multiply(g, 1.0 - np.square(out), out=bufs[i])
             if grad is not None:
                 np.matmul(tape.inputs[i].swapaxes(-1, -2), g, out=dws[i])
                 np.add.reduce(g, axis=-2, out=dbs[i])

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from edgecontract.harness import run_training
 from edgecontract.nn import AdamState, Mlp, adam_step
 
-from conftest import mlp_reference_apply, mlp_reference_grads
+from conftest import acceptance_config, mlp_reference_apply, mlp_reference_grads
 
 
 def _reference_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
@@ -105,7 +106,7 @@ def test_gradients_match_finite_differences_over_100_nets():
         # finite differences are invalid within the step size of a relu kink
         if any(
             a == "relu" and np.any(np.abs(z) < 1e-3)
-            for a, z in zip(acts, tape.preacts)
+            for a, z in zip(acts, mlp_reference_apply(net, x)[1][1])
         ):
             continue
         checked += 1
@@ -203,8 +204,8 @@ def test_grads_match_allocating_reference_bit_for_bit():
             y, tape = net.apply(x)
             y_ref, record = mlp_reference_apply(net, x)
             assert np.array_equal(y, y_ref)
-            for z, z_ref in zip(tape.preacts, record[1]):
-                assert np.array_equal(z, z_ref)
+            for out, a_ref in zip(tape.outputs, [*record[0][1:], np.atleast_2d(y_ref)]):
+                assert np.array_equal(out, a_ref)
             grad, dx = net.grads(tape, up)
             grad_ref, dx_ref = mlp_reference_grads(net, record, up)
             assert np.array_equal(grad, grad_ref) and np.array_equal(dx, dx_ref)
@@ -252,8 +253,49 @@ def test_tapes_reuse_one_workspace_per_slot():
     x1, x2 = rng.standard_normal((2, 4, 3))
     _, tape1 = net.apply(x1, slot=1)
     _, tape2 = net.apply(x2, slot=1)
-    for z1, z2 in zip(tape1.preacts, tape2.preacts):
-        assert np.shares_memory(z1, z2)
+    for out1, out2 in zip(tape1.outputs, tape2.outputs):
+        assert np.shares_memory(out1, out2)
+
+
+def _workspace_bytes(net: Mlp) -> int:
+    """Bytes of the distinct arrays in all of a network's workspaces."""
+    arrays = {}
+    for tape, bufs in net._tapes.values():
+        for a in [*bufs, *(tape.inputs[1:] + tape.outputs if tape else [])]:
+            arrays[id(a)] = a.nbytes
+    return sum(arrays.values())
+
+
+def test_workspaces_hold_one_array_per_layer():
+    # a tape keeps each layer's output and nothing else: the backward reads
+    # the relu mask and the tanh derivative off the outputs
+    rng = np.random.default_rng(18)
+    for net in (Mlp([3, 5, 4, 2], ["relu", "tanh", "identity"], rng),
+                Mlp([3, 5, 4, 2], ["tanh", "relu", "identity"], rng, stack=2)):
+        layer_bytes = 8 * (net.stack or 1) * sum(net.widths[1:])
+        for slot in (1, None):
+            _, tape = net.apply(rng.standard_normal((6, 3)), slot=slot)
+            ws_tape, bufs = net._tapes[(6, slot)]
+            assert ws_tape is tape and sum(b.nbytes for b in bufs) == 6 * layer_bytes
+            if tape is not None:
+                assert all(out is buf for out, buf in zip(tape.outputs, bufs, strict=True))
+                for i in range(len(net.weights) - 1):
+                    assert np.shares_memory(tape.inputs[i + 1], tape.outputs[i])
+        assert _workspace_bytes(net) == 2 * 6 * layer_bytes
+    # a training step of the acceptance agent (batch 128, K = 3 chain
+    # steps) fills: the actor's one-state pass, its K tapes and its backward
+    # buffers; the target actor's pass; the critic stack's tape and backward
+    # buffers, and the same for its member-0 view; the target stack's pass
+    cfg = acceptance_config(0)
+    cfg.training.episodes = 1
+    _, agent, _ = run_training(cfg)
+    actor, critics = (sum(net.widths[1:]) for net in (agent.actor, agent.critics))
+    batch, k = cfg.training.batch_size, cfg.training.diffusion_steps
+    expect = 8 * (actor * (1 + (k + 1) * batch) + actor * batch
+                  + critics * (2 * 2 * batch + 2 * batch + 2 * batch))
+    held = sum(_workspace_bytes(net) for net in (agent.actor, agent.target_actor, agent.critics,
+                                                 agent.target_critics, agent.critic1))
+    assert held == expect and expect // 1024 == 1733
 
 
 def test_stack_member_tape_survives_a_stack_apply():
@@ -263,9 +305,9 @@ def test_stack_member_tape_survives_a_stack_apply():
     member = stack.member(1)
     x1, x2 = rng.standard_normal((2, 4, 3))
     y, tape = member.apply(x1)
-    kept = [z.copy() for z in tape.preacts]
+    kept = [out.copy() for out in tape.outputs]
     stack.apply(x2)
-    assert all(np.array_equal(z, z_kept) for z, z_kept in zip(tape.preacts, kept))
+    assert all(np.array_equal(out, out_kept) for out, out_kept in zip(tape.outputs, kept))
     grad, dx = member.grads(tape, np.ones_like(y))
     y_again, tape_again = member.apply(x1)
     assert np.array_equal(y, y_again)
