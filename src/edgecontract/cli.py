@@ -69,7 +69,8 @@ def main(argv: list[str] | None = None) -> int:
     except FloatingPointError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # a MemoryError is a size no allocation can meet, such as a huge batch_size
         print(f"error: bad input: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

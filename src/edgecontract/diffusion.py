@@ -29,27 +29,6 @@ from .econ import (
 from .feasibility import ic_slack
 from .nn import AdamState, Mlp, adam_step
 
-__all__ = [
-    "NoiseSchedule",
-    "ActionBounds",
-    "Scenario",
-    "GdmHyperparams",
-    "GdmAgent",
-    "ReplayBuffer",
-    "LOG_COLUMNS",
-    "encode_state",
-    "forward_diffuse",
-    "generate",
-    "reward_fn",
-    "critic_update",
-    "actor_gradient",
-    "actor_update",
-    "soft_update",
-    "train",
-    "baseline_random",
-    "baseline_greedy",
-]
-
 # levels per resource axis the greedy baseline searches
 GREEDY_POINTS = 33
 # fields of each per-step record train returns, in the order the logs write them

@@ -14,29 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "TypeGrid",
-    "ContractMenu",
-    "ChannelParams",
-    "HMDParams",
-    "SensitivityParams",
-    "PTParams",
-    "downlink_rate",
-    "immersion",
-    "latency",
-    "buyer_value",
-    "seller_cost",
-    "level_tables",
-    "eut_expected",
-    "prob_weight",
-    "pt_value",
-    "pt_weights",
-    "pt_score",
-    "pt_expected",
-    "dbm_to_watts",
-    "db_to_linear",
-]
-
 _PROB_TOL = 1e-12
 
 

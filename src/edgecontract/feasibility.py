@@ -51,21 +51,6 @@ import numpy as np
 
 from .econ import ContractMenu, TypeGrid, seller_cost
 
-__all__ = [
-    "SLACK_TOL",
-    "FeasibilityReport",
-    "InfeasibleMenuError",
-    "NonMonotoneError",
-    "ic_slack",
-    "monotone_descents",
-    "check_monotone",
-    "check_full",
-    "check_reduced",
-    "optimal_rewards",
-    "minimal_rewards",
-    "minimal_reward_oracle",
-]
-
 # doubles-scale arithmetic on utilities of magnitude <= 1e3
 SLACK_TOL = 1e-9
 # a relaxation round raises a bound only when it gains more than this

@@ -26,15 +26,6 @@ from .diffusion import (
 from .econ import ContractMenu, pt_expected
 from .scenario import MAX_REDRAWS, ExperimentConfig, config_hash, sample_scenario
 
-__all__ = [
-    "SWEEPS",
-    "RunRecord",
-    "cmd_solve",
-    "cmd_train",
-    "cmd_verify",
-    "cmd_sweep",
-]
-
 U_REF_SWEEP = (5.0, 10.0, 15.0, 20.0)
 KAPPA_SWEEP = (0.5, 1.0, 1.5, 2.0)
 # the [pt] parameters sweep can vary, each with its settings in sweep order
@@ -47,6 +38,9 @@ MENU_COLUMNS = ["m", "n", "b", "f", "r"]
 _EVAL_TAG = 101
 _BASELINE_TAG = 102
 
+# the trailing epochs RunRecord.final_mean_reward averages
+_FINAL_EPOCHS = 20
+
 
 @dataclass
 class RunRecord:
@@ -54,12 +48,11 @@ class RunRecord:
     menu: ContractMenu
     wall_clock: float
 
-    def final_mean_reward(self, window: int = 20) -> float:
+    def final_mean_reward(self) -> float:
         per_epoch: dict[int, list[float]] = {}
         for row in self.metrics:
             per_epoch.setdefault(row["epoch"], []).append(row["reward"])
-        epochs = sorted(per_epoch)
-        tail = epochs[-window:]
+        tail = sorted(per_epoch)[-_FINAL_EPOCHS:]
         return float(np.mean([np.mean(per_epoch[e]) for e in tail]))
 
 
@@ -303,7 +296,7 @@ def _random_monotone_resources(rng: np.random.Generator, cfg: ExperimentConfig):
     return b, f
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path, which: str = "u_ref") -> int:
+def cmd_sweep(cfg: ExperimentConfig, out: Path, which: str) -> int:
     """Train across one of :data:`SWEEPS` with a common seed; emits per-setting CSVs."""
     if which not in SWEEPS:
         raise ValueError(f"unknown sweep {which!r}")

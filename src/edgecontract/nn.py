@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mlp", "GradTape", "AdamState", "adam_step"]
-
 _ACTIVATIONS = ("relu", "tanh", "identity")
 
 
@@ -183,9 +181,7 @@ class Mlp:
         return grad, g if tape.batched else g[..., 0, :]
 
     def clone(self) -> "Mlp":
-        net = Mlp(self.widths, self.activations, stack=self.stack)
-        net.params[...] = self.params
-        return net
+        return Mlp(self.widths, self.activations, stack=self.stack, params=self.params.copy())
 
 
 # Adam's first and second moment decay rates and its denominator guard

@@ -30,8 +30,6 @@ from .econ import (
 )
 from .solver import MIN_STEP, SearchSpec, check_grid_count
 
-__all__ = ["ExperimentConfig", "sample_scenario", "load_config", "config_hash"]
-
 
 @dataclass
 class ScenarioConfig:
@@ -200,6 +198,9 @@ def _validate(cfg: ExperimentConfig) -> None:
             v = getattr(obj, f.name)
             if isinstance(v, (float, tuple)) and not np.all(np.isfinite(v)):
                 raise ValueError(f"[{section}] {f.name} must be finite")
+            # counts and sizes reach float division, list repetition and numpy shapes
+            if isinstance(v, int) and not -2**63 <= v < 2**63:
+                raise ValueError(f"[{section}] {f.name} must fit a signed 64-bit integer")
     # the search box, grid_points and refine_iters; the PT parameters; the
     # noise schedule the agent builds
     for section, build in (("search", cfg.search.to_spec), ("pt", cfg.pt.to_params),

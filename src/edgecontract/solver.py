@@ -61,9 +61,6 @@ from .feasibility import minimal_rewards, monotone_descents
 from .econ import pt_expected  # noqa: F401
 from .feasibility import minimal_reward_oracle, optimal_rewards  # noqa: F401
 
-__all__ = ["SearchSpec", "SolveResult", "solve_grid", "refine_local", "monotone_grids",
-           "monotone_grid_count", "check_grid_count", "MAX_GRIDS", "MIN_STEP"]
-
 # candidates per array pass of solve_grid after the first, which is one
 # b-grid's f-grids (at most CHUNK of them); bounds the memory of a pass: the
 # relaxation's (MN, MN, CHUNK) float weight tensor stays within 0.5 MB up to

@@ -259,11 +259,12 @@ def test_write_csv_prints_numpy_floats_as_python_floats(tmp_path):
 
 
 def test_final_mean_reward_window():
-    metrics = [{"epoch": e, "step": 0, "reward": float(e)} for e in range(10)]
+    # two steps per epoch with rewards e and e + 1, so epoch e's mean is e + 0.5
+    metrics = [{"epoch": e, "step": t, "reward": float(e + t)} for e in range(30) for t in (0, 1)]
     menu = ContractMenu(b=np.zeros((2, 2)), f=np.zeros((2, 2)), r=np.zeros((2, 2)))
     rec = RunRecord(metrics=metrics, menu=menu, wall_clock=0.0)
-    assert rec.final_mean_reward(window=3) == pytest.approx((7 + 8 + 9) / 3)
-    assert rec.final_mean_reward(window=100) == pytest.approx(4.5)
+    # the last 20 per-epoch means, epochs 10..29
+    assert rec.final_mean_reward() == pytest.approx(np.mean(np.arange(10, 30) + 0.5))
 
 
 # -- commands ---------------------------------------------------------------
@@ -632,6 +633,22 @@ def test_cli_unusable_config_exits_2(tmp_path, capsys, text):
     cfgfile.write_text(text)
     err = _cli_fails_cleanly(["train", "--config", str(cfgfile), "--out", str(tmp_path)], capsys)
     assert err.startswith("error: bad config: "), err
+
+
+# integers past int64 reach float division (n_sellers in the state) and list
+# repetition (the hidden layers); 2**47 int64 indices (1 PiB) exceed any
+# address space, so the replay buffer's draw fails at once
+@pytest.mark.parametrize("text, prefix", [
+    (f"[scenario]\nn_sellers = {10**400}\n", "error: bad config: [scenario] n_sellers "),
+    (f"[training]\nhidden_layers = {10**30}\n", "error: bad config: [training] hidden_layers "),
+    (f"[training]\nepisodes = 1\nsteps = 1\nbatch_size = {2**47}\n", "error: bad input: "),
+], ids=["n_sellers", "hidden_layers", "batch_size"])
+def test_cli_train_on_out_of_range_sizes_exits_2(tmp_path, capsys, text, prefix):
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text(text)
+    err = _cli_fails_cleanly(["train", "--config", str(cfgfile), "--out", str(tmp_path / "out")],
+                             capsys)
+    assert err.startswith(prefix), err
 
 
 _MENU_ROWS = ["m,n,b,f,r", "0,0,1.0,0.5,2.0", "0,1,1.0,0.5,2.0", "1,0,1.0,0.5,2.0",
