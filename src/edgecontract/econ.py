@@ -165,8 +165,9 @@ class PTParams:
     """Prospect-theory transform parameters.
 
     ``weight_coeff`` is the exponent of the inverse-S probability weighting
-    curve (named distinctly from the immersion sensitivity).  When
-    ``use_weighting`` is off the raw probabilities weight the per-type values.
+    curve (named distinctly from the immersion sensitivity).  At 1 that
+    curve is the identity, and the raw probabilities weight the per-type
+    values.
     """
 
     delta_plus: float = 1.0
@@ -174,7 +175,6 @@ class PTParams:
     kappa: float = 0.0
     u_ref: float = 0.0
     weight_coeff: float = 1.0
-    use_weighting: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.delta_plus <= 1.0 and 0.0 < self.delta_minus <= 1.0):
@@ -183,6 +183,11 @@ class PTParams:
             raise ValueError("kappa must be nonnegative")
         if self.weight_coeff <= 0:
             raise ValueError("weight_coeff must be positive")
+
+    @property
+    def use_weighting(self) -> bool:
+        # read by pt_weights and by perfbench/reference.py
+        return self.weight_coeff != 1.0
 
 
 def downlink_rate(b, ch: ChannelParams) -> np.ndarray:
@@ -284,8 +289,10 @@ def pt_value(u, pt: PTParams) -> np.ndarray:
 
 
 def pt_weights(grid: TypeGrid, pt: PTParams) -> np.ndarray:
-    """(M, N) weights of the per-type PT values: the raw probabilities
-    Q_{m,n}, or their inverse-S transform when ``pt.use_weighting`` is on."""
+    """(M, N) weights of the per-type PT values: the inverse-S transform of
+    the probabilities Q_{m,n}, or ``grid.q`` itself at ``weight_coeff = 1``,
+    where the transform is the identity but ``exp(log p)`` is not ``p`` bit
+    for bit."""
     if not pt.use_weighting:
         return grid.q
     # zero-probability cells contribute nothing; transform only positives

@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -51,12 +51,17 @@ class ScenarioConfig:
     bandwidth_unit_hz: float = 1e6
     t_th: float = 1e6
     zeta1: float = 0.5
-    zeta2: float = 0.5
     mu_range: tuple[float, float] = (0.1, 1.0)
     latency_c: float = 0.02
     distance_range: tuple[float, float] = (10.0, 100.0)
     alpha_imm: float = 0.05
     beta_lat: float = 0.5
+
+    @property
+    def zeta2(self) -> float:
+        # the two rendering weights sum to 1; _environment and
+        # perfbench/reference.py read this
+        return 1.0 - self.zeta1
 
 
 @dataclass
@@ -66,7 +71,6 @@ class PTConfig:
     delta_plus: float = 0.88
     delta_minus: float = 0.88
     weight_coeff: float = 1.0
-    use_weighting: bool = False
 
     def to_params(self) -> PTParams:
         # the [pt] keys are PTParams' fields, one for one
@@ -189,8 +193,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     seller cost.  So a utility lies between the smallest buyer value less
     that bound and the largest buyer value, and as :func:`econ.pt_value` is
     monotone, the two ends bound every PT value.  The weights are taken at
-    two draws of the 2x2 sampler, one with its smallest cell probability
-    (0.5/3.5) and one with its largest (1/2.5).
+    two draws of the 2x2 sampler at the ends of :data:`_Q_DRAW`, one with
+    its smallest cell probability (0.5/3.5) and one with its largest (1/2.5).
     """
     for section in _SECTIONS:
         obj = getattr(cfg, section)
@@ -266,9 +270,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         with np.errstate(all="raise", under="ignore"):
             top_reward = max(cfg.training.r_max, sc.m * sc.n * ir.max())
             ends = np.array([value.max(), value.min() - top_reward])[:, None, None]
-            for q in ([[0.5, 1.0], [1.0, 1.0]], [[1.0, 0.5], [0.5, 0.5]]):
-                draw = TypeGrid(theta=grid.theta, sigma=grid.sigma, q=np.array(q) / np.sum(q))
-                pt_score(ends, draw, cfg.pt.to_params())
+            # one cell at the low end and three at the high end, and the reverse
+            for q in (np.take(_Q_DRAW, [[0, 1], [1, 1]]), np.take(_Q_DRAW, [[1, 0], [0, 0]])):
+                pt_score(ends, replace(grid, q=q / q.sum()), cfg.pt.to_params())
     except FloatingPointError as exc:
         raise ValueError(f"[pt] the transform fails on the search box's utilities: {exc}") from None
 
@@ -294,6 +298,8 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 MAX_REDRAWS = 1000
+# the ends of the uniform draw of each cell's probability, before normalizing
+_Q_DRAW = (0.5, 1.0)
 # the per-type-pair draws, each from its [scenario] <name>_range, in draw order
 _PER_TYPE = ("power_dbm", "gain_db", "distance", "s_eff", "mu")
 
@@ -333,7 +339,7 @@ def sample_scenario(cfg: ExperimentConfig, rng: np.random.Generator) -> Scenario
 
     theta = np.array(_sample_increasing_pair(rng, sc.theta1_range, sc.theta2_range))
     sigma = np.array(_sample_increasing_pair(rng, sc.sigma1_range, sc.sigma2_range))
-    q = rng.uniform(0.5, 1.0, size=(2, 2))
+    q = rng.uniform(*_Q_DRAW, size=(2, 2))
     q = q / q.sum()
 
     shape = (sc.m, sc.n)

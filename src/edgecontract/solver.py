@@ -75,6 +75,10 @@ MAX_GRIDS = 10**6
 # side; its steps keep the box's proportions, so no probe moves b or f by
 # less than this fraction of its own range
 MIN_STEP = 1e-6
+# refine_local's steps start at most the box's widest side, so a step stays
+# at or above MIN_STEP of it for at most this many sweeps: the current one,
+# the next when the search resumes mid-sweep, and -log2(MIN_STEP) halvings
+_MAX_SWEEPS = 2 + math.ceil(-math.log2(MIN_STEP))
 
 
 @dataclass(frozen=True)
@@ -301,16 +305,13 @@ def refine_local(
         # every sweep left if no probe improves: the current one keeps its
         # step, and so does the next if the current one has moved, that is
         # if the search resumes mid-sweep; each later one halves it while it
-        # stays at or above min_step.  The halvings left are the largest h
-        # with max(step) * 2**-h >= min_step, exact from the binary exponents
+        # stays at or above min_step, which no row past _MAX_SWEEPS does
         kept = int(first > 0)
-        (m_step, e_step), (m_min, e_min) = np.frexp(np.max(step)), np.frexp(min_step)
-        halvings = max(int(e_step - e_min) - int(m_step < m_min), 0)
-        sweeps = min(spec.refine_iters - sweep, 1 + kept + halvings)
-        h = np.maximum(np.arange(sweeps) - kept, 0)
+        h = np.maximum(np.arange(min(spec.refine_iters - sweep, _MAX_SWEEPS)) - kept, 0)
         steps = np.ldexp(step, -h[:, None])  # (sweeps, 2), exact
-        which = np.repeat(np.arange(sweeps), n_moves)[first:]
-        move = np.tile(np.arange(n_moves), sweeps)[first:]
+        steps = steps[np.max(steps, axis=1) >= min_step]
+        which = np.repeat(np.arange(len(steps)), n_moves)[first:]
+        move = np.tile(np.arange(n_moves), len(steps))[first:]
         delta = sgn[move] * steps[which, axis[move]]
         trials = np.repeat(x[None], len(move), axis=0)
         trials[np.arange(len(move)), axis[move], m[move], n[move]] += delta

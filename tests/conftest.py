@@ -96,8 +96,7 @@ def neutral_pt() -> PTParams:
 
     kappa must be 1 so the loss branch -kappa*(-u) reduces to u below zero.
     """
-    return PTParams(delta_plus=1.0, delta_minus=1.0, kappa=1.0, u_ref=0.0,
-                    weight_coeff=1.0, use_weighting=False)
+    return PTParams(delta_plus=1.0, delta_minus=1.0, kappa=1.0, u_ref=0.0, weight_coeff=1.0)
 
 
 def acceptance_config(seed: int = 0) -> ExperimentConfig:

@@ -376,8 +376,7 @@ def test_pt_expected_with_weighting_uses_transformed_mass(rng):
         f=rng.uniform(0.0, 3.0, (2, 2)),
         r=rng.uniform(0.0, 50.0, (2, 2)),
     )
-    pt = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=0.5, u_ref=10.0,
-                  weight_coeff=0.6, use_weighting=True)
+    pt = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=0.5, u_ref=10.0, weight_coeff=0.6)
     u = buyer_value(menu.b, menu.f, ch, hmd, sens) - menu.r
     expect = float(np.sum(prob_weight(grid.q, 0.6) * pt_value(u, pt)))
     assert pt_expected(menu, grid, ch, hmd, sens, pt) == pytest.approx(expect, rel=1e-12)
@@ -391,18 +390,29 @@ def test_pt_expected_is_pt_score_of_buyer_value(rng):
     b = rng.uniform(0.5, 10.0, (3, 2, 2))
     f = rng.uniform(0.0, 3.0, (3, 2, 2))
     r = rng.uniform(0.0, 50.0, (3, 2, 2))
-    for weighting in (False, True):
-        pt = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=0.5, u_ref=10.0,
-                      weight_coeff=0.6, use_weighting=weighting)
+    for coeff in (1.0, 0.6):
+        pt = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=0.5, u_ref=10.0, weight_coeff=coeff)
         w = pt_weights(zero_cell, pt)
         assert w[0, 0] == 0.0
-        assert np.array_equal(w[q > 0], prob_weight(q[q > 0], 0.6) if weighting else q[q > 0])
+        assert np.array_equal(w[q > 0], prob_weight(q[q > 0], coeff) if coeff != 1.0 else q[q > 0])
         u = buyer_value(b, f, ch, hmd, sens) - r
         expect = np.sum(w * pt_value(u, pt), axis=(-2, -1))
         assert np.array_equal(pt_score(u, zero_cell, pt), expect)
         for k in range(b.shape[0]):
             menu = ContractMenu(b=b[k], f=f[k], r=r[k])
             assert pt_expected(menu, zero_cell, ch, hmd, sens, pt) == float(expect[k])
+
+
+def test_pt_weights_weight_only_off_coefficient_one(rng):
+    # Prelec's curve exp(-(-ln p)^c) is the identity at c = 1, but exp(log p)
+    # is not p bit for bit, so the raw probabilities are returned themselves
+    grid = make_grid(rng)
+    for coeff in (1.0, 0.7, 1.3, 1e-3):
+        assert PTParams(weight_coeff=coeff).use_weighting == (coeff != 1.0)
+    assert pt_weights(grid, PTParams(weight_coeff=1.0)) is grid.q
+    w = pt_weights(grid, PTParams(weight_coeff=0.7))
+    assert np.array_equal(w, np.exp(-((-np.log(grid.q)) ** 0.7)))
+    assert not np.array_equal(w, grid.q)
 
 
 # -- unit conversions -------------------------------------------------------

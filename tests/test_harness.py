@@ -64,7 +64,7 @@ out_dir = /tmp/somewhere
 
 [pt]
 u_ref = 15.0
-use_weighting = true
+weight_coeff = 0.7
 
 [training]
 episodes = 7
@@ -74,7 +74,7 @@ explore_noise_final = 0.05
 theta1_range = 20.0, 90.0
 """)
     assert cfg.seed == 9 and cfg.out_dir == "/tmp/somewhere"
-    assert cfg.pt.u_ref == 15.0 and cfg.pt.use_weighting is True
+    assert cfg.pt.u_ref == 15.0 and cfg.pt.weight_coeff == 0.7
     assert cfg.training.episodes == 7
     assert cfg.training.explore_noise_final == 0.05
     assert cfg.scenario.theta1_range == (20.0, 90.0)
@@ -85,6 +85,29 @@ def test_load_config_rejects_unknown_key():
         load_config(text="[training]\nepisodez = 5\n")
 
 
+# weight_coeff = 1 is the unweighted case and zeta2 is 1 - zeta1, so neither
+# is a key of its own
+@pytest.mark.parametrize("text", ["[pt]\nuse_weighting = true\n", "[scenario]\nzeta2 = 0.5\n"],
+                         ids=["use_weighting", "zeta2"])
+def test_cli_derived_value_as_key_exits_2(tmp_path, capsys, text):
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text(text)
+    err = _cli_fails_cleanly(["solve", "--config", str(cfgfile), "--seed", "0",
+                              "--out", str(tmp_path / "out")], capsys)
+    assert err.startswith("error: bad config: unknown key "), err
+
+
+def test_zeta2_is_one_minus_zeta1(tmp_path, capsys):
+    cfg = load_config(text="[scenario]\nzeta1 = 0.7\n")
+    hmd = sample_scenario(cfg, np.random.default_rng(0)).hmd
+    assert hmd.zeta1 == 0.7 and hmd.zeta2 == 1 - 0.7
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text("[scenario]\nzeta1 = 1.0\n")
+    err = _cli_fails_cleanly(["solve", "--config", str(cfgfile), "--seed", "0",
+                              "--out", str(tmp_path / "out")], capsys)
+    assert err == "error: bad config: [scenario] zeta weights must be positive\n", err
+
+
 def test_load_config_rejects_unknown_section():
     with pytest.raises(ValueError, match="unknown config section"):
         load_config(text="[nonsense]\nx = 1\n")
@@ -92,7 +115,7 @@ def test_load_config_rejects_unknown_section():
 
 def test_load_config_rejects_bad_bool_and_range():
     with pytest.raises(ValueError):
-        load_config(text="[pt]\nuse_weighting = maybe\n")
+        load_config(text="[training]\nresample_each_step = maybe\n")
     with pytest.raises(ValueError):
         load_config(text="[scenario]\ntheta1_range = 1.0\n")
 
@@ -115,8 +138,8 @@ def test_config_hash_stability_and_sensitivity():
 def test_config_hash_pinned():
     # every summary CSV records this hash; renaming, retyping or dropping a
     # config field changes it
-    assert config_hash(ExperimentConfig()) == "30a33bde563c10d6"
-    assert config_hash(acceptance_config(0)) == "939b9ebd9ea24071"
+    assert config_hash(ExperimentConfig()) == "b1d708c7234226d0"
+    assert config_hash(acceptance_config(0)) == "371cc10fda50d06e"
 
 
 def test_canonical_serialization_is_sorted():
@@ -200,7 +223,7 @@ _CHANNEL_RULE = r"\[scenario\] p, g2 and n0 must be positive and finite"
     ("[scenario]\nmu_range = -1, 0.5\n", r"\[scenario\] mu must be > 0"),
     ("[scenario]\ns_eff_range = -3, 1\n", r"\[scenario\] s_eff must be > 0"),
     ("[scenario]\ndistance_range = -5, 10\n", r"\[scenario\] c and d must be nonnegative"),
-    ("[scenario]\nzeta1 = 0.7\n", r"\[scenario\] zeta1 \+ zeta2 must equal 1"),
+    ("[scenario]\nzeta1 = 1.0\n", r"\[scenario\] zeta weights must be positive"),
     ("[scenario]\nalpha_imm = -1\n", r"\[scenario\] sensitivities must be nonnegative"),
     # dB values whose conversion to a linear scale overflows to inf
     ("[scenario]\npower_dbm_range = 4000, 5000\n", _CHANNEL_RULE),
@@ -512,7 +535,7 @@ def test_cli_model_overflow_on_the_search_box_exits_2_at_load(tmp_path, capsys, 
     assert not (out / "solve_summary.csv").exists()
 
 
-@pytest.mark.parametrize("text", ["kappa = 1e308", "use_weighting = true\nweight_coeff = 1e300"])
+@pytest.mark.parametrize("text", ["kappa = 1e308", "weight_coeff = 1e300"])
 @pytest.mark.parametrize("command", ["solve", "train"])
 @pytest.mark.filterwarnings("error")
 def test_cli_pt_overflow_on_the_search_box_exits_2_at_load(tmp_path, capsys, command, text):
@@ -540,20 +563,17 @@ def test_grid_count_rule_is_the_solvers():
 _BOX_KEYS = [(section, f.name, getattr(default, f.name))
              for section, default in (("scenario", ScenarioConfig()), ("search", SearchConfig()),
                                       ("pt", PTConfig()))
-             for f in fields(default) if isinstance(getattr(default, f.name), (bool, float, tuple))]
+             for f in fields(default) if isinstance(getattr(default, f.name), (float, tuple))]
 _EXTREMES = ["1e308", "-1e308", "1e-308", "-1e-308", "0", "-0.0", "5e-324", "1e300", "1e-300",
              "1" + "0" * 29]
 
 
 def _extreme_config(draws) -> str:
     """Config text setting each drawn key to an extreme value: a range's low
-    end (0), high end (1) or both (None), and a flag whether the value is
-    nonzero."""
+    end (0), high end (1) or both (None)."""
     lines = {}
     for (section, key, default), value, end in draws:
-        if isinstance(default, bool):
-            value = str(float(value) != 0).lower()
-        elif isinstance(default, tuple):
+        if isinstance(default, tuple):
             value = ", ".join(value if end in (None, i) else repr(x) for i, x in enumerate(default))
         lines.setdefault(section, []).append(f"{key} = {value}")
     return "".join(f"[{section}]\n" + "\n".join(keys) + "\n" for section, keys in lines.items())
@@ -642,7 +662,9 @@ def test_cli_unusable_config_exits_2(tmp_path, capsys, text):
     (f"[scenario]\nn_sellers = {10**400}\n", "error: bad config: [scenario] n_sellers "),
     (f"[training]\nhidden_layers = {10**30}\n", "error: bad config: [training] hidden_layers "),
     (f"[training]\nepisodes = 1\nsteps = 1\nbatch_size = {2**47}\n", "error: bad input: "),
-], ids=["n_sellers", "hidden_layers", "batch_size"])
+    # the load-time noise schedule is a 2**47-level linspace
+    (f"[training]\ndiffusion_steps = {2**47}\n", "error: bad config: "),
+], ids=["n_sellers", "hidden_layers", "batch_size", "diffusion_steps"])
 def test_cli_train_on_out_of_range_sizes_exits_2(tmp_path, capsys, text, prefix):
     cfgfile = tmp_path / "cfg.ini"
     cfgfile.write_text(text)

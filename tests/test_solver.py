@@ -155,8 +155,8 @@ def _per_candidate_solve(spec, grid, ch, hmd, sens, pt):
     return best_menu, best_obj, evals
 
 
-# use_weighting=True keeps the plain lattice id; the default config's
-# raw-probability branch is compared too
+# the inverse-S weighting (weight_coeff 0.7) keeps the plain lattice id; the
+# default config's raw-probability branch (weight_coeff 1) is compared too
 @pytest.mark.parametrize("shape,weighting", [
     pytest.param(shape, weighting, id="%dx%d" % shape + ("" if weighting else "-unweighted"))
     for shape in [(2, 2), (2, 3), (3, 2), (3, 3)]
@@ -169,7 +169,7 @@ def test_solve_grid_equals_per_candidate_loop(rng, monkeypatch, shape, weighting
     hmd = simple_hmd(s_eff=rng.uniform(1.5, 3.0, shape), mu=rng.uniform(0.2, 1.0, shape))
     sens = simple_sens()
     pt = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=2.25, u_ref=10.0,
-                  weight_coeff=0.7, use_weighting=weighting)
+                  weight_coeff=0.7 if weighting else 1.0)
     spec = SearchSpec(grid_points=3)
     menu, obj, evals = _per_candidate_solve(spec, grid, ch, hmd, sens, pt)
     # the module's chunk, then a small prime, so that the maximum falls at
@@ -238,8 +238,7 @@ def test_b_grid_bound_covers_every_candidate_sharing_it(rng, shape, points):
     f_levels = np.linspace(0.0, 3.0, points)
     b_idx = monotone_grids(points, *shape)
     f_cands = f_levels[b_idx]  # one enumeration indexes both axes' levels
-    weighted = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=2.25, u_ref=10.0,
-                        weight_coeff=0.7, use_weighting=True)
+    weighted = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=2.25, u_ref=10.0, weight_coeff=0.7)
     for pt in (_pt(), weighted):
         grid = make_grid(rng, *shape)
         args = (
@@ -504,15 +503,15 @@ def test_refine_keeps_monotonicity_on_2x3_lattice():
 
 
 # refine_iters=40 (the default) keeps the plain lattice id; the smaller caps
-# fall inside one precomputed probe sequence of the batched search
+# fall inside one precomputed probe sequence of the batched search, and a cap
+# of 2**47 sweeps must not size the probe plan (a 1 PiB table fails at once)
 @pytest.mark.parametrize("shape,iters", [
     pytest.param(shape, iters, id="%dx%d" % shape + ("" if iters == 40 else "-iters%d" % iters))
     for shape in [(2, 2), (2, 3), (3, 2), (3, 3)]
-    for iters in (1, 2, 3, 40)
+    for iters in (1, 2, 3, 40, 2**47)
 ])
 def test_refine_local_equals_per_probe_loop(rng, monkeypatch, shape, iters):
-    pt = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=2.25, u_ref=10.0,
-                  weight_coeff=0.7, use_weighting=True)
+    pt = PTParams(delta_plus=0.88, delta_minus=0.88, kappa=2.25, u_ref=10.0, weight_coeff=0.7)
     scenarios = []
     for _ in range(5):
         scenarios.append((
