@@ -51,8 +51,7 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.seed < 0:
             raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     except (ValueError, FileNotFoundError, MemoryError) as exc:
-        # a MemoryError is a size no load-time allocation can meet, such as
-        # the noise schedule of a huge diffusion_steps
+        # a MemoryError is a load-time allocation the host cannot meet
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 2
 

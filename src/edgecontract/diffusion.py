@@ -192,6 +192,26 @@ class GdmHyperparams:
             raise ValueError("diffusion_steps must be >= 1")
         return NoiseSchedule.default(self.diffusion_steps, self.iota_lo, self.iota_hi)
 
+    def parameter_bytes(self, m: int, n: int) -> int:
+        """Bytes of the parameter storage of :class:`GdmAgent` on an m x n
+        lattice: the actor and the twin-critic stack, each with its target
+        and its two Adam moments, four float64 copies in all.  The widths
+        are the agent's, counted in closed form, so no size allocates."""
+        w, layers = self.hidden_width, self.hidden_layers
+
+        def count(d_in: int, d_out: int) -> int:
+            if layers == 0:
+                return (d_in + 1) * d_out
+            return (d_in + 1) * w + (layers - 1) * (w + 1) * w + (w + 1) * d_out
+
+        sd, ad = state_dim(m, n), action_dim(m, n)
+        return 4 * 8 * (count(ad + sd + self.diffusion_steps, ad) + 2 * count(sd + ad, 1))
+
+
+# the most GdmHyperparams.parameter_bytes a config may ask for (1 GiB); the
+# default [training] config needs about 3.5 MB
+MAX_PARAMETER_BYTES = 2**30
+
 
 class GdmAgent:
     """Actor/critic bundle realizing the diffusion contract policy.
@@ -200,9 +220,11 @@ class GdmAgent:
     the reverse chain's noise schedule.  The twin critics are one stacked
     network (``critics``, and ``target_critics`` for their targets) on a
     leading axis of 2; ``critic1`` is a plain-network view of member 0, the
-    critic the actor update climbs.  Besides the networks' forward
-    workspaces the agent reuses nothing: everything a training step
-    computes is a fresh array.
+    critic the actor update climbs.  A target shares its source's scratch
+    buffers and ``critic1`` reads ``[0]`` views of the stack's, so one
+    scratch set serves each network shape (see :mod:`edgecontract.nn`);
+    the tapes are each network's own.  Besides those workspaces the agent
+    reuses nothing: everything a training step computes is a fresh array.
     """
 
     def __init__(self, m: int, n: int, bounds: ActionBounds, hp: GdmHyperparams, seed: int):

@@ -9,19 +9,23 @@ soft target updates and finiteness checks each act on a single vector.
 A network built with ``stack=S`` holds S independent networks of one shape:
 ``params`` has shape (S, P), every layer runs as one stacked matmul, and each
 slice equals a plain network bit for bit.  ``member(i)`` returns network
-``i`` as a plain ``Mlp`` that shares only its parameters with the stack; its
-workspaces are its own.  The diffusion agent keeps its twin critics, and
+``i`` as a plain ``Mlp`` that shares its parameters and its scratch with the
+stack, and nothing else.  The diffusion agent keeps its twin critics, and
 their targets, as stacks of 2.
 
-Memory.  A network reuses one thing: its forward workspaces, kept per input
-row count.  A workspace holds one array per layer, into which ``apply``
-writes the layer's matmul, adds the bias and applies the activation in
-place.  Each ``slot`` has a tape of those layer outputs, from which the
-backward takes the relu mask and the tanh derivative; forward-only passes
-(``slot=None``) have their own workspace, which ``grads`` also uses for its
-per-layer gradients.  ``apply``'s output and ``grads``' results are fresh
-arrays that the caller owns.  A tape is a view of its workspace and stays
-valid only until the next ``apply`` with the same row count and slot.
+Memory.  A network reuses two things, both kept per input row count.  Each
+``slot`` has a tape: one array per layer, into which ``apply`` writes the
+layer's matmul, adds the bias and applies the activation in place, and from
+which the backward takes the relu mask and the tanh derivative.  A tape is
+the network's own and stays valid until the next ``apply`` with the same row
+count and slot.  Forward-only passes (``slot=None``) run in scratch buffers
+of the same layout, which ``grads`` also uses for its per-layer gradients.
+The scratch belongs to the network's shape, not to one object: ``clone()``
+hands its scratch to the copy, so a network and its target share one set,
+and ``member(i)`` works in ``[i]`` views of the stack's set.  That is safe
+because every use of the scratch ends inside one call: ``apply``'s output and
+``grads``' results are fresh arrays that the caller owns, and everything runs
+in one thread, so no two uses overlap.
 """
 
 from __future__ import annotations
@@ -75,7 +79,11 @@ class Mlp:
         self.weights, self.biases = self._layer_views(self.params)
         self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
         self._row_biases = [b[..., None, :] for b in self.biases]
-        self._tapes: dict[tuple[int, int | None], tuple[GradTape | None, list[np.ndarray]]] = {}
+        self._tapes: dict[tuple[int, int], GradTape] = {}
+        # the scratch: per-layer buffers by row count, allocated with the
+        # stack's leading axis, and the index a member reads them at
+        self._scratch: tuple[dict[int, list[np.ndarray]], tuple[int, ...], int | None]
+        self._scratch = ({}, self._lead, None)
         if rng is not None:
             # He-style fan-in scaling; a stack draws member by member
             for member in self.params.reshape(-1, size):
@@ -100,20 +108,33 @@ class Mlp:
         return self.widths[0]
 
     def member(self, i: int) -> "Mlp":
-        """Network ``i`` of a stack, sharing only its parameters with the stack."""
+        """Network ``i`` of a stack, sharing its parameters and its scratch
+        (as ``[i]`` views) with the stack; its tapes are its own."""
         if self.stack is None:
             raise ValueError("member() needs a stacked network")
-        return Mlp(self.widths, self.activations, params=self.params[i])
+        net = Mlp(self.widths, self.activations, params=self.params[i])
+        net._scratch = (*self._scratch[:2], i)
+        return net
+
+    def _scratch_buffers(self, rows: int) -> list[np.ndarray]:
+        """The per-layer scratch buffers for ``rows`` input rows, which every
+        network sharing this scratch writes; no call leaves data in them."""
+        store, lead, i = self._scratch
+        bufs = store.get(rows)
+        if bufs is None:
+            bufs = store[rows] = [np.empty(lead + (rows, d)) for d in self.widths[1:]]
+        return bufs if i is None else [b[i] for b in bufs]
 
     def _workspace(self, rows: int, slot: int | None) -> tuple[GradTape | None, list[np.ndarray]]:
         """The tape of one slot and its per-layer output buffers; slot None
-        has no tape and lends its buffers to :meth:`grads`."""
-        ws = self._tapes.get((rows, slot))
-        if ws is None:
+        has no tape and runs in the scratch buffers."""
+        if slot is None:
+            return None, self._scratch_buffers(rows)
+        tape = self._tapes.get((rows, slot))
+        if tape is None:
             outs = [np.empty(self._lead + (rows, d)) for d in self.widths[1:]]
-            tape = None if slot is None else GradTape([None, *outs[:-1]], outs, True)
-            ws = self._tapes[(rows, slot)] = (tape, outs)
-        return ws
+            tape = self._tapes[(rows, slot)] = GradTape([None, *outs[:-1]], outs, True)
+        return tape, tape.outputs
 
     def apply(self, x: np.ndarray, slot: int | None = 0) -> tuple[np.ndarray, GradTape | None]:
         """Forward pass returning a fresh output array and the gradient tape
@@ -121,7 +142,7 @@ class Mlp:
 
         The tape is the workspace of (rows, ``slot``): the next ``apply``
         with that row count and slot overwrites it.  ``slot=None`` runs a
-        forward-only pass in its own buffers and returns no tape.  A stacked
+        forward-only pass in the scratch buffers and returns no tape.  A stacked
         network takes a shared (rows, in) input or one per member,
         (S, rows, in), and returns (S, rows, out).
         """
@@ -154,14 +175,14 @@ class Mlp:
         ``wrt="input"`` the parameter gradient; the skipped one is returned
         as None.  The relu mask is ``output > 0`` and the tanh derivative
         ``1 - output**2``, both read off the tape's layer outputs.  The
-        per-layer gradients are written to the ``slot=None`` buffers of the
-        tape's row count, so no tape is touched.
+        per-layer gradients are written to the scratch buffers of the tape's
+        row count, so no tape is touched.
         """
         if wrt not in ("both", "params", "input"):
             raise ValueError(f"unknown wrt {wrt!r}")
         upstream = np.asarray(upstream, dtype=float)
         g = upstream if tape.batched else upstream[..., None, :]
-        _, bufs = self._workspace(tape.outputs[0].shape[-2], None)
+        bufs = self._scratch_buffers(tape.outputs[0].shape[-2])
         grad = None
         if wrt != "input":
             grad = np.empty_like(self.params)
@@ -181,7 +202,11 @@ class Mlp:
         return grad, g if tape.batched else g[..., 0, :]
 
     def clone(self) -> "Mlp":
-        return Mlp(self.widths, self.activations, stack=self.stack, params=self.params.copy())
+        """A copy with its own parameters and tapes that shares this
+        network's scratch."""
+        net = Mlp(self.widths, self.activations, stack=self.stack, params=self.params.copy())
+        net._scratch = self._scratch
+        return net
 
 
 # Adam's first and second moment decay rates and its denominator guard

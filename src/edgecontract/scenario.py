@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .diffusion import ActionBounds, GdmHyperparams, Scenario
+from .diffusion import MAX_PARAMETER_BYTES, ActionBounds, GdmHyperparams, Scenario
 from .econ import (
     ChannelParams,
     HMDParams,
@@ -205,6 +205,23 @@ def _validate(cfg: ExperimentConfig) -> None:
             # counts and sizes reach float division, list repetition and numpy shapes
             if isinstance(v, int) and not -2**63 <= v < 2**63:
                 raise ValueError(f"[{section}] {f.name} must fit a signed 64-bit integer")
+    sc = cfg.scenario
+    if (sc.m, sc.n) != (2, 2):
+        raise ValueError("[scenario] m and n must be 2: sampling is defined for 2x2 type grids")
+    for name, low in (("episodes", 1), ("steps", 1), ("batch_size", 1), ("buffer_capacity", 1),
+                      ("hidden_width", 1), ("hidden_layers", 0)):
+        if getattr(cfg.training, name) < low:
+            raise ValueError(f"[training] {name} must be >= {low}")
+    # the networks are the agent's largest arrays, and the actor's input
+    # holds one entry per diffusion step: bound them before the schedule or
+    # any network exists
+    hp = cfg.training
+    need = hp.parameter_bytes(sc.m, sc.n)
+    if need > MAX_PARAMETER_BYTES:
+        raise ValueError(
+            f"[training] hidden_width = {hp.hidden_width}, hidden_layers = {hp.hidden_layers} and "
+            f"diffusion_steps = {hp.diffusion_steps} need {need} bytes of network parameters, targets "
+            f"and Adam moments, more than MAX_PARAMETER_BYTES = {MAX_PARAMETER_BYTES}")
     # the search box, grid_points and refine_iters; the PT parameters; the
     # noise schedule the agent builds
     for section, build in (("search", cfg.search.to_spec), ("pt", cfg.pt.to_params),
@@ -213,18 +230,11 @@ def _validate(cfg: ExperimentConfig) -> None:
             build()
         except ValueError as exc:
             raise ValueError(f"[{section}] {exc}") from None
-    sc = cfg.scenario
-    if (sc.m, sc.n) != (2, 2):
-        raise ValueError("[scenario] m and n must be 2: sampling is defined for 2x2 type grids")
     # solve_grid enumerates every monotone grid of each axis up front
     try:
         check_grid_count(cfg.search.grid_points, sc.m, sc.n)
     except ValueError as exc:
         raise ValueError(f"[search] {exc}") from None
-    for name, low in (("episodes", 1), ("steps", 1), ("batch_size", 1), ("buffer_capacity", 1),
-                      ("hidden_width", 1), ("hidden_layers", 0)):
-        if getattr(cfg.training, name) < low:
-            raise ValueError(f"[training] {name} must be >= {low}")
     # tau outside [0, 1] makes soft_update extrapolate; a learning rate at or
     # below 0 freezes the network or ascends the loss
     for name in ("tau", "gamma"):

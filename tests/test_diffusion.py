@@ -38,6 +38,27 @@ def _small_agent(seed=0, **hp_overrides):
     return df.GdmAgent(2, 2, df.ActionBounds(), hp=df.GdmHyperparams(**kwargs), seed=seed)
 
 
+@pytest.mark.parametrize("hp_overrides", [
+    dict(hidden_width=64, hidden_layers=2), dict(hidden_layers=0),
+    dict(hidden_layers=1, diffusion_steps=5), dict(hidden_width=7, hidden_layers=4),
+], ids=["acceptance", "no-hidden", "one-hidden", "deep"])
+def test_parameter_bytes_is_the_agents_parameter_storage(hp_overrides):
+    agent = _small_agent(**hp_overrides)
+    held = [agent.actor.params, agent.target_actor.params, agent.critics.params,
+            agent.target_critics.params, agent.actor_opt.m, agent.actor_opt.v,
+            agent.critics_opt.m, agent.critics_opt.v]
+    assert agent.hp.parameter_bytes(2, 2) == sum(a.nbytes for a in held)
+
+
+def test_parameter_cap_admits_the_shipped_configs_with_room():
+    # the default [training] section (the screening config keeps it) and the
+    # acceptance and CI widths
+    for hp in (df.GdmHyperparams(), df.GdmHyperparams(hidden_width=64, hidden_layers=2),
+               df.GdmHyperparams(hidden_width=16), df.GdmHyperparams(diffusion_steps=4)):
+        assert hp.parameter_bytes(2, 2) * 100 < df.MAX_PARAMETER_BYTES
+    assert df.GdmHyperparams().parameter_bytes(2, 2) == 3_547_584
+
+
 # -- noise schedule ---------------------------------------------------------
 
 def test_schedule_validation():

@@ -662,8 +662,9 @@ def test_cli_unusable_config_exits_2(tmp_path, capsys, text):
     (f"[scenario]\nn_sellers = {10**400}\n", "error: bad config: [scenario] n_sellers "),
     (f"[training]\nhidden_layers = {10**30}\n", "error: bad config: [training] hidden_layers "),
     (f"[training]\nepisodes = 1\nsteps = 1\nbatch_size = {2**47}\n", "error: bad input: "),
-    # the load-time noise schedule is a 2**47-level linspace
-    (f"[training]\ndiffusion_steps = {2**47}\n", "error: bad config: "),
+    # the actor's input would hold 2**47 step entries, and the noise schedule
+    # would be a 2**47-level linspace: both are refused at load
+    (f"[training]\ndiffusion_steps = {2**47}\n", "error: bad config: [training] "),
 ], ids=["n_sellers", "hidden_layers", "batch_size", "diffusion_steps"])
 def test_cli_train_on_out_of_range_sizes_exits_2(tmp_path, capsys, text, prefix):
     cfgfile = tmp_path / "cfg.ini"
@@ -671,6 +672,44 @@ def test_cli_train_on_out_of_range_sizes_exits_2(tmp_path, capsys, text, prefix)
     err = _cli_fails_cleanly(["train", "--config", str(cfgfile), "--out", str(tmp_path / "out")],
                              capsys)
     assert err.startswith(prefix), err
+
+
+# hidden_width = 30000 with the default 3 hidden layers is about 1.8e9 actor
+# parameters (14.4 GB), which a machine can partly allocate; 2**24 is about
+# 2**49 of them (4 PiB), past the 128 TiB address space.  load_config must
+# refuse both before any network exists, so neither is ever built
+@pytest.mark.parametrize("width", [30000, 2**24])
+def test_load_rejects_networks_above_the_parameter_cap(tmp_path, capsys, width):
+    text = f"[training]\nhidden_width = {width}\n"
+    with pytest.raises(ValueError, match=rf"^\[training\] hidden_width = {width}, hidden_layers = 3 "):
+        load_config(text=text)
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text(text)
+    err = _cli_fails_cleanly(["train", "--config", str(cfgfile), "--out", str(tmp_path / "out")],
+                             capsys)
+    assert err.startswith(f"error: bad config: [training] hidden_width = {width}, "), err
+
+
+def test_load_bounds_the_actor_input_before_building_the_schedule(monkeypatch):
+    # 10**9 diffusion steps would make the load-time noise schedule an 8 GB
+    # linspace; the parameter bound refuses them first, so it is never built
+    def never(self):
+        raise AssertionError("the noise schedule was built")
+
+    monkeypatch.setattr(df.GdmHyperparams, "schedule", never)
+    with pytest.raises(ValueError, match=r"^\[training\] .* diffusion_steps = 1000000000 need "):
+        load_config(text=f"[training]\ndiffusion_steps = {10**9}\n")
+
+
+def test_cli_memory_error_while_loading_exits_2(tmp_path, capsys, monkeypatch):
+    # the parameter bound now refuses every schedule too large to allocate,
+    # so a failed load-time allocation is simulated
+    def no_memory(self):
+        raise MemoryError("cannot allocate the noise schedule")
+
+    monkeypatch.setattr(df.GdmHyperparams, "schedule", no_memory)
+    err = _cli_fails_cleanly(["solve", "--out", str(tmp_path / "out")], capsys)
+    assert err.startswith("error: bad config: cannot allocate"), err
 
 
 _MENU_ROWS = ["m,n,b,f,r", "0,0,1.0,0.5,2.0", "0,1,1.0,0.5,2.0", "1,0,1.0,0.5,2.0",

@@ -257,13 +257,21 @@ def test_tapes_reuse_one_workspace_per_slot():
         assert np.shares_memory(out1, out2)
 
 
-def _workspace_bytes(net: Mlp) -> int:
-    """Bytes of the distinct arrays in all of a network's workspaces."""
-    arrays = {}
-    for tape, bufs in net._tapes.values():
-        for a in [*bufs, *(tape.inputs[1:] + tape.outputs if tape else [])]:
-            arrays[id(a)] = a.nbytes
-    return sum(arrays.values())
+def _tape_arrays(net: Mlp) -> list[np.ndarray]:
+    """The layer outputs of every recorded tape of a network."""
+    return [out for tape in net._tapes.values() for out in tape.outputs]
+
+
+def _workspace_bytes(*nets: Mlp) -> int:
+    """Bytes of the distinct base buffers under the networks' tapes and
+    scratch: a member's scratch is a view of its stack's, and a clone's is
+    its source's."""
+    bases = {}
+    for net in nets:
+        for a in [*_tape_arrays(net), *(b for bufs in net._scratch[0].values() for b in bufs)]:
+            base = a if a.base is None else a.base
+            bases[id(base)] = base.nbytes
+    return sum(bases.values())
 
 
 def test_workspaces_hold_one_array_per_layer():
@@ -275,7 +283,7 @@ def test_workspaces_hold_one_array_per_layer():
         layer_bytes = 8 * (net.stack or 1) * sum(net.widths[1:])
         for slot in (1, None):
             _, tape = net.apply(rng.standard_normal((6, 3)), slot=slot)
-            ws_tape, bufs = net._tapes[(6, slot)]
+            ws_tape, bufs = net._workspace(6, slot)
             assert ws_tape is tape and sum(b.nbytes for b in bufs) == 6 * layer_bytes
             if tape is not None:
                 assert all(out is buf for out, buf in zip(tape.outputs, bufs, strict=True))
@@ -283,19 +291,41 @@ def test_workspaces_hold_one_array_per_layer():
                     assert np.shares_memory(tape.inputs[i + 1], tape.outputs[i])
         assert _workspace_bytes(net) == 2 * 6 * layer_bytes
     # a training step of the acceptance agent (batch 128, K = 3 chain
-    # steps) fills: the actor's one-state pass, its K tapes and its backward
-    # buffers; the target actor's pass; the critic stack's tape and backward
-    # buffers, and the same for its member-0 view; the target stack's pass
+    # steps) fills: the actor's K tapes; the scratch of the actor's shape,
+    # at one state (the menu pass) and at the batch (its backward and the
+    # target actor's pass); the critic stack's tape; the scratch of the
+    # critics' shape at the batch (the stack's backward, the target stack's
+    # pass and member 0's backward); and the tape of the member-0 view
     cfg = acceptance_config(0)
     cfg.training.episodes = 1
     _, agent, _ = run_training(cfg)
     actor, critics = (sum(net.widths[1:]) for net in (agent.actor, agent.critics))
     batch, k = cfg.training.batch_size, cfg.training.diffusion_steps
-    expect = 8 * (actor * (1 + (k + 1) * batch) + actor * batch
-                  + critics * (2 * 2 * batch + 2 * batch + 2 * batch))
-    held = sum(_workspace_bytes(net) for net in (agent.actor, agent.target_actor, agent.critics,
-                                                 agent.target_critics, agent.critic1))
-    assert held == expect and expect // 1024 == 1733
+    expect = 8 * (actor * (k * batch + 1 + batch) + critics * (2 * batch + 2 * batch + batch))
+    held = _workspace_bytes(agent.actor, agent.target_actor, agent.critics, agent.target_critics,
+                            agent.critic1)
+    assert held == expect == 1_235_040
+
+
+def test_targets_and_members_share_the_scratch_but_not_their_tapes():
+    cfg = acceptance_config(0)
+    cfg.training.episodes = 1
+    _, agent, _ = run_training(cfg)
+    rows = cfg.training.batch_size
+    for net, target in ((agent.actor, agent.target_actor), (agent.critics, agent.target_critics)):
+        for buf, target_buf in zip(net._scratch_buffers(rows), target._scratch_buffers(rows), strict=True):
+            assert np.shares_memory(buf, target_buf)
+    views, stacked_bufs = agent.critic1._scratch_buffers(rows), agent.critics._scratch_buffers(rows)
+    for view, stacked in zip(views, stacked_bufs, strict=True):
+        assert view.base is stacked and np.shares_memory(view, stacked[0])
+        assert not np.shares_memory(view, stacked[1])
+    nets = (agent.actor, agent.target_actor, agent.critics, agent.target_critics, agent.critic1)
+    scratch = [b for net in nets for bufs in net._scratch[0].values() for b in bufs]
+    for i, net in enumerate(nets):
+        for out in _tape_arrays(net):
+            assert not any(np.shares_memory(out, b) for b in scratch)
+            for other in nets[i + 1:]:
+                assert not any(np.shares_memory(out, o) for o in _tape_arrays(other))
 
 
 def test_stack_member_tape_survives_a_stack_apply():
@@ -316,9 +346,10 @@ def test_stack_member_tape_survives_a_stack_apply():
 
 
 def test_backward_shares_only_the_forward_only_buffers():
-    # grads computes its layer gradients in the slot=None buffers: a
-    # forward-only pass before the backward changes no gradient, and the
-    # backward changes no later forward-only output
+    # grads computes its layer gradients in the scratch buffers: a
+    # forward-only pass before the backward, of the network or of a clone
+    # sharing its scratch, changes no gradient, and the backward changes no
+    # later forward-only output
     rng = np.random.default_rng(17)
     net = Mlp([3, 5, 5, 2], ["relu", "tanh", "identity"], rng)
     x1, x2 = rng.standard_normal((2, 4, 3))
@@ -329,6 +360,12 @@ def test_backward_shares_only_the_forward_only_buffers():
     ref_grad, ref_dx = mlp_reference_grads(net, mlp_reference_apply(net, x1)[1], up)
     assert np.allclose(grad, ref_grad) and np.allclose(dx, ref_dx)
     assert np.array_equal(net.apply(x2, slot=None)[0], y2)
+    again, dx_again = net.grads(tape, up)
+    assert np.array_equal(again, grad) and np.array_equal(dx_again, dx)
+    clone = net.clone()
+    clone.params += 1.0
+    _, tape = net.apply(x1)
+    clone.apply(x2, slot=None)
     again, dx_again = net.grads(tape, up)
     assert np.array_equal(again, grad) and np.array_equal(dx_again, dx)
 
