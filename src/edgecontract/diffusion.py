@@ -28,6 +28,7 @@ from .econ import (
 )
 from .feasibility import ic_slack
 from .nn import AdamState, Mlp, adam_step
+from .solver import SearchSpec
 
 # levels per resource axis the greedy baseline searches
 GREEDY_POINTS = 33
@@ -51,8 +52,10 @@ class NoiseSchedule:
         object.__setattr__(self, "iota", iota)
 
     @classmethod
-    def default(cls, k: int = 3, lo: float = 1e-4, hi: float = 2e-2) -> "NoiseSchedule":
-        return cls(iota=np.linspace(lo, hi, k))
+    def default(cls, k: int) -> "NoiseSchedule":
+        """The ``[training]`` default schedule with ``k`` steps: what
+        :meth:`GdmHyperparams.schedule` builds at ``diffusion_steps = k``."""
+        return GdmHyperparams(diffusion_steps=k).schedule()
 
     @property
     def k(self) -> int:
@@ -69,20 +72,27 @@ class NoiseSchedule:
 
 @dataclass(frozen=True)
 class ActionBounds:
-    """Box the squashed action vector is mapped into.  Its b and f ranges are
-    the ``[search]`` box, the one :class:`solver.SearchSpec` searches."""
+    """Box the squashed action vector is mapped into.
 
-    b_min: float = 0.0
-    b_max: float = 10.0
-    f_min: float = 0.0
-    f_max: float = 3.0
-    r_min: float = 0.0
+    Its b and f ranges default to the ``[search]`` box, the one
+    :class:`solver.SearchSpec` searches.  Rewards run from the constant
+    ``r_min = 0`` to ``r_max``, whose default here is also ``[training]
+    r_max``'s.
+    """
+
+    b_min: float = SearchSpec.b_range[0]
+    b_max: float = SearchSpec.b_range[1]
+    f_min: float = SearchSpec.f_range[0]
+    f_max: float = SearchSpec.f_range[1]
     r_max: float = 50.0
+    r_min = 0.0  # a class constant, not a field
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One fully specified environment: types, channel, display, preferences."""
+    """One fully specified environment: types, channel, display, preferences.
+
+    ``n_sellers``' default is also ``[scenario] n_sellers``'."""
 
     grid: TypeGrid
     ch: ChannelParams
@@ -155,9 +165,11 @@ class GdmHyperparams:
     """Settings of the GDM training loop (Du et al., arXiv:2308.05384).
 
     This is the ``[training]`` config section: every field is a key of the
-    same name.  ``r_max`` caps the reward axis of the action box, which
-    :class:`ActionBounds` carries; :class:`GdmAgent` and :func:`train` read
-    the rest.
+    same name, and the defaults here are the section's.  ``r_max`` caps the
+    reward axis of the action box, which :class:`ActionBounds` carries;
+    :class:`GdmAgent` and :func:`train` read the rest.  The shaping pair
+    ``penalty_weight`` and ``violations_only`` is also the default of
+    :func:`reward_fn` and of the baselines.
     """
 
     episodes: int = 200
@@ -183,20 +195,29 @@ class GdmHyperparams:
     resample_each_step: bool = False
     penalty_weight: float = 1.0
     violations_only: bool = False
-    r_max: float = 50.0
+    r_max: float = ActionBounds.r_max
 
     def schedule(self) -> NoiseSchedule:
         """``diffusion_steps`` noise levels evenly spaced from ``iota_lo`` to
         ``iota_hi``."""
         if self.diffusion_steps < 1:
             raise ValueError("diffusion_steps must be >= 1")
-        return NoiseSchedule.default(self.diffusion_steps, self.iota_lo, self.iota_hi)
+        return NoiseSchedule(iota=np.linspace(self.iota_lo, self.iota_hi, self.diffusion_steps))
+
+    def io_widths(self, m: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """``(in, out)`` widths of the actor and of each critic on an m x n
+        lattice.  The actor maps a chain state, the state and a one-hot step
+        to a noise prediction, ``ad + sd + K -> ad``; a critic maps a state
+        and an action to a value, ``sd + ad -> 1``."""
+        sd, ad = state_dim(m, n), action_dim(m, n)
+        return (ad + sd + self.diffusion_steps, ad), (sd + ad, 1)
 
     def parameter_bytes(self, m: int, n: int) -> int:
         """Bytes of the parameter storage of :class:`GdmAgent` on an m x n
         lattice: the actor and the twin-critic stack, each with its target
-        and its two Adam moments, four float64 copies in all.  The widths
-        are the agent's, counted in closed form, so no size allocates."""
+        and its two Adam moments, four float64 copies in all.  The input and
+        output widths are :meth:`io_widths`'; the hidden layers are counted
+        in closed form, so no size allocates."""
         w, layers = self.hidden_width, self.hidden_layers
 
         def count(d_in: int, d_out: int) -> int:
@@ -204,8 +225,8 @@ class GdmHyperparams:
                 return (d_in + 1) * d_out
             return (d_in + 1) * w + (layers - 1) * (w + 1) * w + (w + 1) * d_out
 
-        sd, ad = state_dim(m, n), action_dim(m, n)
-        return 4 * 8 * (count(ad + sd + self.diffusion_steps, ad) + 2 * count(sd + ad, 1))
+        actor, critic = self.io_widths(m, n)
+        return 4 * 8 * (count(*actor) + 2 * count(*critic))
 
 
 # the most GdmHyperparams.parameter_bytes a config may ask for (1 GiB); the
@@ -235,12 +256,11 @@ class GdmAgent:
         self.schedule = self.hp.schedule()
         rng = np.random.default_rng(seed)
 
-        sd = state_dim(m, n)
-        ad = action_dim(m, n)
+        (actor_in, actor_out), (critic_in, critic_out) = self.hp.io_widths(m, n)
         hidden = [self.hp.hidden_width] * self.hp.hidden_layers
         acts = ["relu"] * self.hp.hidden_layers + ["identity"]
-        self.actor = Mlp([ad + sd + self.schedule.k] + hidden + [ad], acts, rng)
-        self.critics = Mlp([sd + ad] + hidden + [1], acts, rng, stack=2)
+        self.actor = Mlp([actor_in, *hidden, actor_out], acts, rng)
+        self.critics = Mlp([critic_in, *hidden, critic_out], acts, rng, stack=2)
         self.critic1 = self.critics.member(0)
         self.target_actor = self.actor.clone()
         self.target_critics = self.critics.clone()
@@ -296,8 +316,8 @@ def reward_fn(
     hmd: HMDParams,
     sens: SensitivityParams,
     pt: PTParams,
-    penalty_weight: float = 1.0,
-    violations_only: bool = False,
+    penalty_weight: float = GdmHyperparams.penalty_weight,
+    violations_only: bool = GdmHyperparams.violations_only,
 ) -> float:
     """Constraint-shaped training reward.
 
@@ -316,8 +336,8 @@ def reward_components(
     hmd: HMDParams,
     sens: SensitivityParams,
     pt: PTParams,
-    penalty_weight: float = 1.0,
-    violations_only: bool = False,
+    penalty_weight: float,
+    violations_only: bool,
 ) -> tuple[float, float, float, float]:
     """``(reward, u_pt, ic_slack_sum, ir_slack_min)`` from one utility and
     one slack evaluation: the :func:`reward_fn` value and the training
@@ -337,12 +357,13 @@ def reward_components(
 class ReplayBuffer:
     """Fixed-capacity FIFO transition store with uniform sampling.
 
-    Each transition is one row of ``rows``: ``[s, a, r, s', done]``."""
+    Each transition is one row of ``rows``: ``[s, a, r, s', done]``;
+    ``added`` counts the transitions stored so far."""
 
     capacity: int
     state_dim: int
     act_dim: int
-    added: int = 0
+    added: int = field(init=False, default=0)
     rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -496,7 +517,8 @@ def train(agent: GdmAgent, scenario_fn, seed: int) -> tuple[list[dict], Scenario
 
 
 def baseline_random(sc: Scenario, bounds: ActionBounds, rng: np.random.Generator,
-                    penalty_weight: float = 1.0, violations_only: bool = False) -> tuple[ContractMenu, float]:
+                    penalty_weight: float = GdmHyperparams.penalty_weight,
+                    violations_only: bool = GdmHyperparams.violations_only) -> tuple[ContractMenu, float]:
     """Uniform draw in the action box, with its :func:`reward_fn` under the
     given shaping."""
     ad = action_dim(sc.grid.m, sc.grid.n)
@@ -505,8 +527,9 @@ def baseline_random(sc: Scenario, bounds: ActionBounds, rng: np.random.Generator
     return menu, reward_fn(menu, sc.grid, sc.ch, sc.hmd, sc.sens, sc.pt, penalty_weight, violations_only)
 
 
-def baseline_greedy(sc: Scenario, bounds: ActionBounds, penalty_weight: float = 1.0,
-                    violations_only: bool = False) -> tuple[ContractMenu, float]:
+def baseline_greedy(sc: Scenario, bounds: ActionBounds,
+                    penalty_weight: float = GdmHyperparams.penalty_weight,
+                    violations_only: bool = GdmHyperparams.violations_only) -> tuple[ContractMenu, float]:
     """Per-type independent maximization, IR-priced, IC ignored, with its
     :func:`reward_fn` under the given shaping.
 

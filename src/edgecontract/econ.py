@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# how far a sum of probabilities, or of the rendering weights, may be from 1
 _PROB_TOL = 1e-12
 
 
@@ -126,7 +127,9 @@ class HMDParams:
     """Head-mounted-display rendering constants.
 
     ``mu`` is the effective capacitance coefficient and ``s_eff`` the
-    rendering efficiency (each scalar or per type pair).
+    rendering efficiency (each scalar or per type pair).  The rendering
+    weights ``zeta1`` and ``zeta2`` sum to 1; ``zeta1``'s default is the
+    ``[scenario]`` one and ``zeta2``'s follows from it.
     """
 
     resolution: float
@@ -134,13 +137,13 @@ class HMDParams:
     s_eff: np.ndarray
     t_th: float
     zeta1: float = 0.5
-    zeta2: float = 0.5
+    zeta2: float = 1.0 - zeta1
     mu: np.ndarray = field(default_factory=lambda: np.array(1.0))
 
     def __post_init__(self):
         if self.zeta1 <= 0 or self.zeta2 <= 0:
             raise ValueError("zeta weights must be positive")
-        if abs(self.zeta1 + self.zeta2 - 1.0) > 1e-12:
+        if abs(self.zeta1 + self.zeta2 - 1.0) > _PROB_TOL:
             raise ValueError("zeta1 + zeta2 must equal 1")
         _coerce(self, "mu", "s_eff")
         for name in ("resolution", "framerate", "t_th", "mu", "s_eff"):

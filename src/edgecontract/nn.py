@@ -30,7 +30,7 @@ in one thread, so no two uses overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -215,11 +215,12 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one parameter vector."""
+    """First/second moment accumulators for one parameter vector and the
+    count ``t`` of steps taken, which starts at 0."""
 
     m: np.ndarray
     v: np.ndarray
-    t: int = 0
+    t: int = field(init=False, default=0)
 
     @classmethod
     def for_net(cls, net: Mlp) -> "AdamState":

@@ -2,7 +2,12 @@
 
 Configs are flat INI-style key/value files with fixed sections; unknown keys
 or sections are rejected.  The ``[training]`` section is
-:class:`~edgecontract.diffusion.GdmHyperparams` itself.  The canonical
+:class:`~edgecontract.diffusion.GdmHyperparams` itself.  ``[search]``'s
+defaults are :class:`~edgecontract.solver.SearchSpec`'s, and ``[scenario]``'s
+``n_sellers`` and ``zeta1`` default to
+:class:`~edgecontract.diffusion.Scenario`'s and
+:class:`~edgecontract.econ.HMDParams`'; ``[pt]``'s paper defaults are
+:class:`PTConfig`'s own.  The canonical
 serialization (sorted ``section.key=value`` lines) feeds the config hash
 recorded with every run.
 """
@@ -33,7 +38,7 @@ from .solver import MIN_STEP, SearchSpec, check_grid_count
 
 @dataclass
 class ScenarioConfig:
-    n_sellers: int = 5
+    n_sellers: int = Scenario.n_sellers
     m: int = 2
     n: int = 2
     theta1_range: tuple[float, float] = (10.0, 100.0)
@@ -50,7 +55,7 @@ class ScenarioConfig:
     # so both immersion terms stay numerically active over the action box
     bandwidth_unit_hz: float = 1e6
     t_th: float = 1e6
-    zeta1: float = 0.5
+    zeta1: float = HMDParams.zeta1
     mu_range: tuple[float, float] = (0.1, 1.0)
     latency_c: float = 0.02
     distance_range: tuple[float, float] = (10.0, 100.0)
@@ -79,12 +84,12 @@ class PTConfig:
 
 @dataclass
 class SearchConfig:
-    b_min: float = 0.0
-    b_max: float = 10.0
-    f_min: float = 0.0
-    f_max: float = 3.0
-    grid_points: int = 5
-    refine_iters: int = 40
+    b_min: float = SearchSpec.b_range[0]
+    b_max: float = SearchSpec.b_range[1]
+    f_min: float = SearchSpec.f_range[0]
+    f_max: float = SearchSpec.f_range[1]
+    grid_points: int = SearchSpec.grid_points
+    refine_iters: int = SearchSpec.refine_iters
 
     def to_spec(self) -> SearchSpec:
         return SearchSpec(
@@ -105,14 +110,10 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def bounds(self) -> ActionBounds:
-        return ActionBounds(
-            b_min=self.search.b_min,
-            b_max=self.search.b_max,
-            f_min=self.search.f_min,
-            f_max=self.search.f_max,
-            r_min=0.0,
-            r_max=self.training.r_max,
-        )
+        """The action box: the ``[search]`` box's b and f ranges, and rewards
+        up to ``[training] r_max``."""
+        spec = self.search.to_spec()
+        return ActionBounds(*spec.b_range, *spec.f_range, r_max=self.training.r_max)
 
 
 # the dataclass sections of ExperimentConfig; [run] holds seed and out_dir

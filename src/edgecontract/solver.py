@@ -98,10 +98,9 @@ class SearchSpec:
     refine_iters: int = 40
 
     def __post_init__(self):
-        if not (0 <= self.b_range[0] < self.b_range[1]):
-            raise ValueError("need 0 <= b_min < b_max")
-        if not (0 <= self.f_range[0] < self.f_range[1]):
-            raise ValueError("need 0 <= f_min < f_max")
+        for axis, (lo, hi) in (("b", self.b_range), ("f", self.f_range)):
+            if not 0 <= lo < hi:
+                raise ValueError(f"need 0 <= {axis}_min < {axis}_max")
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
         if self.refine_iters < 0:
@@ -288,7 +287,7 @@ def refine_local(
     x = np.stack([result.menu.b, result.menu.f])
     lo = np.array([spec.b_range[0], spec.f_range[0]])[:, None, None]
     hi = np.array([spec.b_range[1], spec.f_range[1]])[:, None, None]
-    step = (hi - lo).ravel() / max(spec.grid_points - 1, 1)
+    step = (hi - lo).ravel() / (spec.grid_points - 1)
     min_step = MIN_STEP * np.max(hi - lo)
     best_obj, best_r = result.objective, result.menu.r
     evals = result.evaluations

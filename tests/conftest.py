@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from edgecontract.econ import (
     db_to_linear,
     dbm_to_watts,
 )
-from edgecontract.scenario import MAX_REDRAWS, ExperimentConfig
+from edgecontract.scenario import MAX_REDRAWS, ExperimentConfig, load_config
 
 
 def _increasing_types(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -99,27 +101,15 @@ def neutral_pt() -> PTParams:
     return PTParams(delta_plus=1.0, delta_minus=1.0, kappa=1.0, u_ref=0.0, weight_coeff=1.0)
 
 
-def acceptance_config(seed: int = 0) -> ExperimentConfig:
-    """Desk-scale training configuration used by the acceptance suite.
+# the desk-scale training settings of the acceptance suite, and its rationale
+ACCEPTANCE_INI = Path(__file__).resolve().parents[1] / "configs" / "acceptance.ini"
 
-    The library defaults are deliberately conservative; these overrides use a
-    larger learning rate and smaller networks so runs converge in seconds
-    while keeping the algorithm unchanged.
-    """
-    cfg = ExperimentConfig()
+
+def acceptance_config(seed: int = 0) -> ExperimentConfig:
+    """The acceptance suite's training configuration, :data:`ACCEPTANCE_INI`,
+    at ``seed``."""
+    cfg = load_config(path=str(ACCEPTANCE_INI))
     cfg.seed = seed
-    t = cfg.training
-    t.episodes = 300
-    t.steps = 3
-    t.batch_size = 128
-    t.hidden_width = 64
-    t.hidden_layers = 2
-    t.actor_lr = 1e-3
-    t.critic_lr = 1e-3
-    t.explore_noise = 0.2
-    t.explore_noise_final = 0.02
-    t.varpi = 0.2
-    t.tanh_grad_floor = 0.1
     return cfg
 
 

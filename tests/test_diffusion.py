@@ -1,5 +1,7 @@
 """Diffusion policy: schedule identities, chain mechanics, updates, training."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from edgecontract import diffusion as df
 from edgecontract.econ import ContractMenu
 from edgecontract.harness import run_training
 from edgecontract.nn import AdamState, Mlp, adam_step
-from edgecontract.scenario import ExperimentConfig
+from edgecontract.scenario import ExperimentConfig, SearchConfig
+from edgecontract.solver import SearchSpec
 
 from conftest import (
     cross_utility,
@@ -48,6 +51,35 @@ def test_parameter_bytes_is_the_agents_parameter_storage(hp_overrides):
             agent.target_critics.params, agent.actor_opt.m, agent.actor_opt.v,
             agent.critics_opt.m, agent.critics_opt.v]
     assert agent.hp.parameter_bytes(2, 2) == sum(a.nbytes for a in held)
+
+
+def test_each_default_has_one_home():
+    # the search box, the reward cap and the network shapes
+    box = df.ActionBounds()
+    spec = SearchSpec()
+    assert SearchConfig().to_spec() == spec
+    assert (box.b_min, box.b_max, box.f_min, box.f_max) == (*spec.b_range, *spec.f_range)
+    assert box.r_max == df.GdmHyperparams().r_max
+    hp = df.GdmHyperparams()
+    agent = df.GdmAgent(2, 2, box, hp=hp, seed=0)
+    assert hp.io_widths(2, 2) == tuple((net.widths[0], net.widths[-1])
+                                       for net in (agent.actor, agent.critics))
+    # the noise schedule
+    for k in range(1, 7):
+        want = df.GdmHyperparams(diffusion_steps=k).schedule().iota
+        assert df.NoiseSchedule.default(k).iota.tobytes() == want.tobytes()
+    # the reward shaping
+    for fn in (df.reward_fn, df.baseline_random, df.baseline_greedy):
+        params = inspect.signature(fn).parameters
+        assert params["penalty_weight"].default == hp.penalty_weight
+        assert params["violations_only"].default is hp.violations_only
+    # state and constants are not constructor arguments
+    for build in (lambda: df.ActionBounds(r_min=0.0),
+                  lambda: df.NoiseSchedule.default(3, lo=1e-4),
+                  lambda: df.ReplayBuffer(capacity=2, state_dim=1, act_dim=1, added=1),
+                  lambda: AdamState(m=np.zeros(1), v=np.zeros(1), t=1)):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_parameter_cap_admits_the_shipped_configs_with_room():
